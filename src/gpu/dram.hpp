@@ -57,7 +57,7 @@ class DramChannel {
   std::uint64_t writes() const noexcept { return writes_; }
   /// Reads admitted with zero channel backlog — the closed-form ("express")
   /// completion schedule; the rest queued behind earlier transfers. A pure
-  /// contention property of the run, identical at every hotpath level.
+  /// contention property of the run, identical in both stepping loops.
   std::uint64_t express_reads() const noexcept { return express_reads_; }
   std::uint64_t queued_reads() const noexcept { return reads_ - express_reads_; }
   std::uint64_t row_hits() const noexcept { return row_hits_; }

@@ -43,8 +43,7 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
       req.created = now_;
       const unsigned b = bank_of(addr);
       const Cycle arrival = icnt_.send_request(b, req, now_);
-      if (arrival < bank_lane_[b]) bank_lane_[b] = arrival;
-      if (hot_level_ >= 2) {
+      if (wheel_.has_value()) {
         // Sends fired outside a step (L1 flush at now_) must land this very
         // cycle when the fabric is latency-free; the wheel's clamp would
         // defer them to the next pop, so arm due_now_mask_ out of band.
@@ -60,26 +59,20 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
       return id;
     });
   }
-  // Everything is "due" at cycle 0; the first hot step recomputes each lane.
-  bank_lane_.assign(config_.num_l2_banks, 0);
-  sm_lane_.assign(config_.num_sms, 0);
-  hot_level_ = config_.hotpath;
-  if (hot_level_ >= 2) {
+  if (config_.fast_forward) {
     const unsigned ids = config_.num_l2_banks + config_.num_sms;
-    if (ids <= sim::EventWheel::kMaxIds) {
-      wheel_.emplace(ids);
-      sm_id_base_ = config_.num_l2_banks;
-      bank_mask_ = (config_.num_l2_banks == 64)
-                       ? ~0ull
-                       : ((1ull << config_.num_l2_banks) - 1);
-      sm_mask_ = ((ids == 64) ? ~0ull : ((1ull << ids) - 1)) & ~bank_mask_;
-      due_now_mask_ = bank_mask_ | sm_mask_;  // everything due at cycle 0
-      sm_acct_.assign(config_.num_sms, 0);
-    } else {
-      hot_level_ = 1;  // wheel ids overflow a 64-bit due mask: fall back
-    }
+    STTGPU_REQUIRE(ids <= sim::EventWheel::kMaxIds,
+                   "Gpu: fast_forward schedules SMs + L2 banks on a 64-id event wheel; "
+                   "this config has " + std::to_string(config_.num_sms) + " SMs + " +
+                       std::to_string(config_.num_l2_banks) +
+                       " banks — reduce them or disable fast_forward");
+    wheel_.emplace(ids);
+    sm_id_base_ = config_.num_l2_banks;
+    bank_mask_ = (config_.num_l2_banks == 64) ? ~0ull : ((1ull << config_.num_l2_banks) - 1);
+    sm_mask_ = ((ids == 64) ? ~0ull : ((1ull << ids) - 1)) & ~bank_mask_;
+    due_now_mask_ = bank_mask_ | sm_mask_;  // everything due at cycle 0
+    sm_acct_.assign(config_.num_sms, 0);
   }
-  if (config_.tick_jobs > 1) tick_pool_ = std::make_unique<TickPool>(config_.tick_jobs);
   if (config_.telemetry != nullptr) {
     tel_ = config_.telemetry;
     STTGPU_REQUIRE(tel_->frame_count() == 0 && !tel_->in_frame(),
@@ -152,8 +145,8 @@ std::string Gpu::state_dump() const {
 void Gpu::telemetry_sample(Cycle at) {
   // The sampled SM counters must cover every cycle before the boundary, so
   // deferred accounting is flushed first — the series stays byte-identical
-  // with the per-cycle accounting the lower hotpath levels do.
-  if (hot_level_ >= 2) flush_sm_accounting(at);
+  // with the per-cycle accounting the plain loop does.
+  flush_sm_accounting(at);
   tel_->begin_frame(at);
   for (const auto& sm : sms_) sm->sample_telemetry(*tel_);
   for (auto& bank : banks_) bank->sample_telemetry(at, *tel_);
@@ -167,137 +160,33 @@ unsigned Gpu::bank_of(Addr addr) const noexcept {
 }
 
 void Gpu::step() {
-  if (hot_level_ >= 2) {
-    step_hot2();
+  if (!wheel_.has_value()) {
+    step_reference();
     return;
   }
-  if (hot_level_ == 1) {
-    step_hot();
-    return;
-  }
-  // Memory side first so that this cycle's completions can wake warps.
-  for (unsigned b = 0; b < banks_.size(); ++b) {
-    icnt_.deliver_requests(
-        b, now_, [&] { return banks_[b]->accepting(); },
-        [&](const L2Request& req) { banks_[b]->enqueue(req, now_); });
-  }
-  for (auto& d : dram_) d->tick(now_);
-  for (auto& bank : banks_) bank->tick(now_);
-  response_scratch_.clear();
-  for (auto& bank : banks_) bank->drain_responses(now_, response_scratch_);
-  for (const L2Response& resp : response_scratch_) icnt_.send_response(resp, now_);
-
-  for (unsigned s = 0; s < sms_.size(); ++s) {
-    icnt_.deliver_responses(s, now_, [&](const L2Response& resp) {
-      sms_[s]->on_response(resp, now_, senders_[s]);
-    });
-    sms_[s]->cycle(now_, senders_[s]);
-  }
-  ++now_;
-  // Interval boundary: every cycle < now_ is fully processed, cycle now_ has
-  // not started — the exact state the fast-forward walk reproduces.
-  // tel_next_ is kNoCycle when telemetry is off, so this never fires then.
-  if (now_ == tel_next_) {
-    telemetry_sample(now_);
-    tel_next_ += tel_interval_;
-  }
-}
-
-void Gpu::step_hot() {
-  // Same phase order as the plain step(); each skipped call is a no-op by
-  // the conservative-next-event contract (nothing delivered, nothing due).
-  due_banks_.clear();
-  for (unsigned b = 0; b < banks_.size(); ++b) {
-    if (bank_lane_[b] <= now_) due_banks_.push_back(b);
-  }
-  for (const unsigned b : due_banks_) {
-    icnt_.deliver_requests(
-        b, now_, [&] { return banks_[b]->accepting(); },
-        [&](const L2Request& req) { banks_[b]->enqueue(req, now_); });
-  }
-  // Due bank partitions are pairwise independent (private DRAM channel,
-  // private queues), so the tick batch may fan out onto the pool. With a
-  // telemetry sink attached the banks share it for timeline events, so the
-  // batch stays sequential — attaching telemetry never changes results
-  // either way.
-  const auto tick_bank = [this](unsigned i) {
-    const unsigned b = due_banks_[i];
-    dram_[b]->tick(now_);
-    banks_[b]->tick(now_);
-  };
-  if (tick_pool_ != nullptr && tel_ == nullptr && due_banks_.size() > 1) {
-    tick_pool_->run(static_cast<unsigned>(due_banks_.size()), tick_bank);
-  } else {
-    for (unsigned i = 0; i < due_banks_.size(); ++i) tick_bank(i);
-  }
-  response_scratch_.clear();
-  for (const unsigned b : due_banks_) {
-    banks_[b]->drain_responses(now_, response_scratch_);
-    const Cycle dram_next = dram_[b]->next_event_cycle();
-    const Cycle bank_next = banks_[b]->next_event_cycle();
-    Cycle lane = icnt_.next_request_arrival(b);
-    if (dram_next < lane) lane = dram_next;
-    if (bank_next < lane) lane = bank_next;
-    bank_lane_[b] = lane;
-  }
-  for (const L2Response& resp : response_scratch_) {
-    const Cycle arrival = icnt_.send_response(resp, now_);
-    if (arrival < sm_lane_[resp.sm_id]) sm_lane_[resp.sm_id] = arrival;
-  }
-
-  for (unsigned s = 0; s < sms_.size(); ++s) {
-    if (sm_lane_[s] > now_) {
-      // No response arrival, no sleeper due, and either no ready warp or a
-      // clean stall: cycle() would only apply idle/stall accounting, which
-      // this replicates exactly.
-      sms_[s]->account_skipped_cycles(1);
-      continue;
-    }
-    icnt_.deliver_responses(s, now_, [&](const L2Response& resp) {
-      sms_[s]->on_response(resp, now_, senders_[s]);
-    });
-    sms_[s]->cycle(now_, senders_[s]);
-    const Cycle sm_next = sms_[s]->next_event_cycle();
-    const Cycle resp_next = icnt_.next_response_arrival(s);
-    sm_lane_[s] = sm_next < resp_next ? sm_next : resp_next;
-  }
-  ++now_;
-  if (now_ == tel_next_) {
-    telemetry_sample(now_);
-    tel_next_ += tel_interval_;
-  }
-}
-
-void Gpu::step_hot2() {
-  // Same phase order as step_hot(), but the due set comes from the wheel:
-  // one pop yields the exact components with something at or before now_
-  // (plus out-of-band arrivals armed via due_now_mask_ and any stranded
-  // stale entries, whose spurious wakes are no-op ticks by the same
-  // conservative contract the lanes rely on).
-  std::uint64_t due = wheel_->pop_due(now_) | due_now_mask_;
+  // The plain loop's phase order, but the due set comes from the wheel: one
+  // pop yields the exact components with something at or before now_ (plus
+  // out-of-band arrivals armed via due_now_mask_ and any stranded stale
+  // entries, whose spurious wakes are no-op ticks by the conservative
+  // next-event contract every component honours).
+  const std::uint64_t due = wheel_->pop_due(now_) | due_now_mask_;
   due_now_mask_ = 0;
 
-  due_banks_.clear();
-  for (std::uint64_t bits = due & bank_mask_; bits != 0; bits &= bits - 1) {
-    due_banks_.push_back(static_cast<unsigned>(std::countr_zero(bits)));
-  }
-  for (const unsigned b : due_banks_) {
+  const std::uint64_t due_banks = due & bank_mask_;
+  for (std::uint64_t bits = due_banks; bits != 0; bits &= bits - 1) {
+    const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
     icnt_.deliver_requests(
         b, now_, [&] { return banks_[b]->accepting(); },
         [&](const L2Request& req) { banks_[b]->enqueue(req, now_); });
   }
-  const auto tick_bank = [this](unsigned i) {
-    const unsigned b = due_banks_[i];
+  for (std::uint64_t bits = due_banks; bits != 0; bits &= bits - 1) {
+    const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
     dram_[b]->tick(now_);
     banks_[b]->tick(now_);
-  };
-  if (tick_pool_ != nullptr && tel_ == nullptr && due_banks_.size() > 1) {
-    tick_pool_->run(static_cast<unsigned>(due_banks_.size()), tick_bank);
-  } else {
-    for (unsigned i = 0; i < due_banks_.size(); ++i) tick_bank(i);
   }
   response_scratch_.clear();
-  for (const unsigned b : due_banks_) {
+  for (std::uint64_t bits = due_banks; bits != 0; bits &= bits - 1) {
+    const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
     banks_[b]->drain_responses(now_, response_scratch_);
     const Cycle dram_next = dram_[b]->next_event_cycle();
     const Cycle bank_next = banks_[b]->next_event_cycle();
@@ -366,8 +255,37 @@ void Gpu::step_hot2() {
   }
 }
 
-void Gpu::flush_sm_accounting(Cycle at) {
+void Gpu::step_reference() {
+  // Memory side first so that this cycle's completions can wake warps.
+  for (unsigned b = 0; b < banks_.size(); ++b) {
+    icnt_.deliver_requests(
+        b, now_, [&] { return banks_[b]->accepting(); },
+        [&](const L2Request& req) { banks_[b]->enqueue(req, now_); });
+  }
+  for (auto& d : dram_) d->tick(now_);
+  for (auto& bank : banks_) bank->tick(now_);
+  response_scratch_.clear();
+  for (auto& bank : banks_) bank->drain_responses(now_, response_scratch_);
+  for (const L2Response& resp : response_scratch_) icnt_.send_response(resp, now_);
+
   for (unsigned s = 0; s < sms_.size(); ++s) {
+    icnt_.deliver_responses(s, now_, [&](const L2Response& resp) {
+      sms_[s]->on_response(resp, now_, senders_[s]);
+    });
+    sms_[s]->cycle(now_, senders_[s]);
+  }
+  ++now_;
+  // Interval boundary: every cycle < now_ is fully processed, cycle now_ has
+  // not started — the exact state the wheel loop's fast-forward reproduces.
+  // tel_next_ is kNoCycle when telemetry is off, so this never fires then.
+  if (now_ == tel_next_) {
+    telemetry_sample(now_);
+    tel_next_ += tel_interval_;
+  }
+}
+
+void Gpu::flush_sm_accounting(Cycle at) {
+  for (unsigned s = 0; s < sm_acct_.size(); ++s) {
     if (at > sm_acct_[s]) {
       sms_[s]->account_skipped_cycles(at - sm_acct_[s]);
       sm_acct_[s] = at;
@@ -375,83 +293,21 @@ void Gpu::flush_sm_accounting(Cycle at) {
   }
 }
 
-Cycle Gpu::next_event_cycle_hot() const {
-  Cycle next = kNoCycle;
-  for (const Cycle lane : sm_lane_) next = lane < next ? lane : next;
-  for (const Cycle lane : bank_lane_) next = lane < next ? lane : next;
-  return next;
-}
-
-Cycle Gpu::next_event_cycle() const {
-  // Early-out scan: once the running minimum is <= now_ an event is already
-  // due and no skip is possible, so the exact minimum no longer matters.
-  // SMs go first — on busy cycles a ready warp (next event 0) is the common
-  // case, and bailing on the first one keeps this scan out of the profile.
-  Cycle next = kNoCycle;
-  const auto due = [&](Cycle c) {
-    if (c < next) next = c;
-    return next <= now_;
-  };
-  for (const auto& sm : sms_) {
-    if (due(sm->next_event_cycle())) return next;
-  }
-  for (const auto& bank : banks_) {
-    if (due(bank->next_event_cycle())) return next;
-  }
-  if (due(icnt_.next_event_cycle())) return next;
-  for (const auto& d : dram_) {
-    if (due(d->next_event_cycle())) return next;
-  }
-  return next;
-}
-
 void Gpu::fast_forward() {
-  if (!config_.fast_forward) return;
-  if (hot_level_ >= 2) {
-    // The wheel answers "earliest deadline" in O(1)-ish (circular occupancy
-    // scan), so there is no backoff: every quiescent cycle gets a skip
-    // attempt. Skipped SM idle accounting is deferred (sm_acct_), so only
-    // telemetry boundaries need closed-form walking here — each sample
-    // flushes the accounting up to its own boundary.
-    if (due_now_mask_ != 0) return;
-    const Cycle next = wheel_->next_deadline();
-    if (next == kNoCycle || next <= now_) return;
-    while (tel_next_ <= next) {
-      telemetry_sample(tel_next_);
-      tel_next_ += tel_interval_;
-    }
-    now_ = next;
-    return;
-  }
-  if (now_ < ff_next_try_) return;
-  const Cycle next = hot_level_ != 0 ? next_event_cycle_hot() : next_event_cycle();
+  // The wheel answers "earliest deadline" in O(1)-ish (circular occupancy
+  // scan), so every quiescent cycle gets a skip attempt. Skipped SM idle
+  // accounting is deferred (sm_acct_), so only telemetry boundaries need
+  // walking here — each sample flushes the accounting up to its own
+  // boundary, at exactly the cycle the plain loop would have sampled.
   // kNoCycle (nothing scheduled anywhere) falls through to plain stepping so
   // a livelocked configuration still hits the cycle ceiling diagnostics.
-  if (next == kNoCycle || next <= now_) {
-    // An event is already due: this is a busy stretch, and re-scanning every
-    // cycle would cost more than it saves. Back off — stepping through a
-    // skippable cycle plainly produces the identical state (it is a no-op
-    // either way), so delaying the next attempt never changes results.
-    ff_next_try_ = now_ + kFastForwardBackoff;
-    return;
-  }
-  // Every skipped cycle is provably a no-op: no packet arrives, no bank has
-  // input or a maturing deadline, no warp is ready or due to wake — the only
-  // architected effect of stepping through them would be SM idle accounting.
-  // Interval boundaries inside (now_, next] are walked in closed form: the
-  // plain loop samples when its post-increment now_ reaches tel_next_, i.e.
-  // after processing cycle tel_next_-1 — inside this gap that state is
-  // exactly "idle accounting applied up to the boundary". Boundary == next
-  // is included (the plain loop samples there before executing cycle next);
-  // account_skipped_cycles is linear, so the split sums to next - now_.
-  Cycle cur = now_;
+  if (!wheel_.has_value() || due_now_mask_ != 0) return;
+  const Cycle next = wheel_->next_deadline();
+  if (next == kNoCycle || next <= now_) return;
   while (tel_next_ <= next) {
-    for (auto& sm : sms_) sm->account_skipped_cycles(tel_next_ - cur);
-    cur = tel_next_;
-    telemetry_sample(cur);
+    telemetry_sample(tel_next_);
     tel_next_ += tel_interval_;
   }
-  for (auto& sm : sms_) sm->account_skipped_cycles(next - cur);
   now_ = next;
 }
 
@@ -484,7 +340,7 @@ void Gpu::drain_memory() {
 void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
   // start_kernel mutates SM state, so any deferred idle accounting still
   // carrying the pre-launch classification must be applied first.
-  if (hot_level_ >= 2) flush_sm_accounting(now_);
+  flush_sm_accounting(now_);
   const Cycle kernel_start = now_;
   const Occupancy occ = compute_occupancy(kernel, config_);
 
@@ -498,9 +354,8 @@ void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
     sms_[s]->start_kernel(kernel, std::move(queues[s]), occ.blocks_per_sm, warps_in_grid,
                           seed);
   }
-  // Fresh warps are ready immediately: pull every SM lane down to "due now".
-  for (Cycle& lane : sm_lane_) lane = 0;
-  due_now_mask_ |= sm_mask_;  // hotpath=2: arm every SM for this very cycle
+  // Fresh warps are ready immediately: arm every SM for this very cycle.
+  due_now_mask_ |= sm_mask_;
 
   const auto all_done = [&] {
     for (const auto& sm : sms_) {
@@ -524,7 +379,7 @@ void Gpu::run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed) {
 
   // Inter-kernel boundary: L1s are flushed (no coherence across launches).
   // flush_l1 mutates SM state, so deferred accounting flushes first.
-  if (hot_level_ >= 2) flush_sm_accounting(now_);
+  flush_sm_accounting(now_);
   const Cycle drain_start = now_;
   for (unsigned s = 0; s < config_.num_sms; ++s) sms_[s]->flush_l1(now_, senders_[s]);
   drain_memory();
@@ -545,8 +400,8 @@ RunResult Gpu::run(const workload::Workload& workload) {
   // end exactly on a sampled boundary.
   if (tel_ != nullptr && now_ > tel_next_ - tel_interval_) telemetry_sample(now_);
 
-  // hotpath=2: idle/stall tallies must cover every cycle before assembly.
-  if (hot_level_ >= 2) flush_sm_accounting(now_);
+  // Idle/stall tallies must cover every cycle before assembly.
+  flush_sm_accounting(now_);
 
   RunResult r;
   r.cycles = now_;

@@ -16,7 +16,6 @@
 #include "gpu/interconnect.hpp"
 #include "gpu/l2_bank.hpp"
 #include "gpu/sm.hpp"
-#include "gpu/tick_pool.hpp"
 #include "sim/event_wheel.hpp"
 #include "workload/benchmarks.hpp"
 
@@ -24,8 +23,8 @@ namespace sttgpu::gpu {
 
 /// Scheduler/transport diagnostics of a run. Purely observational: the
 /// express/queued splits are contention properties of the simulated machine
-/// (identical at every hotpath level); the wheel fields describe the
-/// hotpath=2 scheduler itself and are zero at lower levels.
+/// (identical in both stepping loops); the wheel fields describe the
+/// event-wheel scheduler itself and read zero under fast_forward=false.
 struct SchedulerDiag {
   std::uint64_t icnt_request_express = 0;  ///< admits with zero port backlog
   std::uint64_t icnt_request_queued = 0;   ///< admits behind earlier traffic
@@ -90,53 +89,33 @@ class Gpu {
   void run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed);
   void drain_memory();
   bool memory_idle() const;
-  void step();  ///< advance one cycle (dispatches to step_hot under hotpath)
+  /// Advances one cycle. With fast_forward (the default) the event wheel
+  /// pops the exact due set (banks then SMs, ascending id — the reference
+  /// loop's order), so a cycle touches only components with something due;
+  /// every skipped call is provably a no-op by the conservative next-event
+  /// contract each component honours. Every schedule-advancing mutation
+  /// re-posts to the wheel; skipped SMs get their idle/stall accounting in
+  /// deferred batches (exact: between activations nothing mutates an SM, so
+  /// the per-cycle classification is constant over the gap), flushed at
+  /// every observation point. Without fast_forward it runs step_reference().
+  void step();
 
-  /// Hot-path cycle: identical phase order to the plain step(), but each
-  /// component only runs when its event lane says something is due —
-  /// skipped calls are provably no-ops (the same conservative-next-event
-  /// contract fast_forward relies on, applied per component per cycle).
-  /// Due bank partitions (bank + private DRAM channel + private input
-  /// queue) are independent, so their ticks batch onto the TickPool when
-  /// tick_jobs > 1; responses are still drained sequentially in bank order,
-  /// which keeps every downstream order byte-identical.
-  void step_hot();
+  /// Plain per-cycle loop over every component — the reference the wheel
+  /// loop must match byte for byte (fast_forward=false).
+  void step_reference();
 
-  /// hotpath=2 cycle: the event wheel pops the exact due set (banks then
-  /// SMs, ascending id — the plain loop's order), so a cycle touches only
-  /// components with something due and pays no per-cycle lane scan. Every
-  /// schedule-advancing mutation re-posts to the wheel; skipped SMs get
-  /// their idle/stall accounting in deferred batches (exact: between
-  /// activations nothing mutates an SM, so the per-cycle classification is
-  /// constant over the gap), flushed at every observation point.
-  void step_hot2();
-
-  /// Catches up deferred SM idle/stall accounting to @p at (exclusive) —
-  /// hotpath=2 only. Called before anything observes SM stats or mutates SM
-  /// state: telemetry samples, kernel starts, L1 flushes, result assembly.
+  /// Catches up deferred SM idle/stall accounting to @p at (exclusive); a
+  /// no-op under the reference loop, which accounts every cycle. Called
+  /// before anything observes SM stats or mutates SM state: telemetry
+  /// samples, kernel starts, L1 flushes, result assembly.
   void flush_sm_accounting(Cycle at);
 
-  /// Earliest event over the incrementally maintained lanes — the hotpath
-  /// replacement for the next_event_cycle() component scan. Lanes are lower
-  /// bounds (never later than the component's true next event), so the
-  /// value is safe for fast_forward: a conservative jump lands on a no-op
-  /// cycle at worst.
-  Cycle next_event_cycle_hot() const;
-
-  /// Earliest absolute cycle at which any component has work; kNoCycle when
-  /// nothing at all is scheduled. May return any value <= now_ (not the
-  /// exact minimum) when an event is already due — the scan stops as soon
-  /// as skipping is ruled out.
-  Cycle next_event_cycle() const;
-
-  /// Event-driven fast-forward: if every component's next event lies in the
-  /// future, jump now_ straight to the earliest one (skipped cycles would
-  /// have been pure no-ops except SM idle accounting, which is applied).
-  /// No-op when config_.fast_forward is off or an event is due now.
-  /// When telemetry is attached, interval boundaries inside the skipped
-  /// stretch are walked in closed form: each boundary gets the SM idle
-  /// accounting up to it and a sample at exactly the cycle the plain loop
-  /// would have sampled, so the series is identical in both modes.
+  /// Event-driven fast-forward: when nothing is due this cycle, jump now_
+  /// straight to the wheel's earliest deadline (skipped cycles would have
+  /// been pure no-ops except SM idle accounting, which is deferred). No-op
+  /// under the reference loop. Telemetry boundaries inside the skipped
+  /// stretch are sampled at exactly the cycle the reference loop would have
+  /// sampled, so the series is identical in both modes.
   void fast_forward();
 
   /// Opens a telemetry frame at @p at and polls every component.
@@ -153,11 +132,6 @@ class Gpu {
   /// swap-buffer fill, interconnect/DRAM idleness) for watchdog dumps.
   std::string state_dump() const;
 
-  /// After a failed skip attempt the next one waits this many cycles, so the
-  /// component scan stays off the critical path of busy stretches. Stepping
-  /// a skippable cycle plainly is a no-op, so this affects speed only.
-  static constexpr Cycle kFastForwardBackoff = 16;
-
   /// Cycles between supervision points: frequent enough that cancellation
   /// latency is microseconds of wall clock, far too coarse to profile.
   static constexpr Cycle kSupervisionInterval = 16384;
@@ -172,7 +146,6 @@ class Gpu {
   std::vector<std::unique_ptr<Sm>> sms_;
 
   Cycle now_ = 0;
-  Cycle ff_next_try_ = 0;  ///< earliest cycle for the next fast-forward scan
 
   // Interval telemetry (null/kNoCycle when disabled, so the per-cycle cost
   // of the disabled path is a single integer compare in step()).
@@ -184,31 +157,21 @@ class Gpu {
   // so the unsupervised run loop pays a single integer compare).
   Cycle sup_next_ = kNoCycle;  ///< next supervision point
 
-
   std::uint64_t next_request_id_ = 1;
   std::vector<L2Response> response_scratch_;
   std::vector<L2Response> sm_resp_scratch_;  ///< per-SM same-cycle batch
   std::vector<SendTxnFn> senders_;  ///< one bound sender per SM
 
-  // Hot-path event lanes: per-component lower bounds on the next event
-  // cycle. bank_lane_[b] covers bank b's partition (its interconnect
-  // request queue, DRAM channel and the bank itself); sm_lane_[s] covers
-  // SM s plus its interconnect response queue. A lane is recomputed after
-  // its component runs and lowered in place when a packet is sent toward
-  // the component; it may go stale-low (an extra no-op tick) but never
-  // stale-high (a missed event).
-  std::vector<Cycle> bank_lane_;
-  std::vector<Cycle> sm_lane_;
-  std::vector<unsigned> due_banks_;  ///< per-cycle scratch
-  std::unique_ptr<TickPool> tick_pool_;  ///< non-null iff tick_jobs > 1
-
-  // hotpath=2 state. Component ids: bank b -> b, SM s -> sm_id_base_ + s.
-  // The wheel holds one live deadline per id (see sim/event_wheel.hpp);
-  // due_now_mask_ arms components for the *current* cycle out of band
-  // (kernel starts, zero-latency sends landing behind this cycle's pop).
-  // sm_acct_[s] is the first cycle not yet covered by SM s's idle/stall
-  // accounting; see flush_sm_accounting().
-  unsigned hot_level_ = 0;  ///< effective level (clamped if ids overflow 64)
+  // Event-wheel state, present iff fast_forward. Component ids: bank b -> b,
+  // SM s -> sm_id_base_ + s (the constructor rejects configs whose ids
+  // overflow the wheel's 64). A component's deadline covers its partition:
+  // bank b's interconnect request queue, DRAM channel and the bank itself;
+  // SM s plus its interconnect response queue. The wheel holds one live
+  // deadline per id (see sim/event_wheel.hpp); due_now_mask_ arms
+  // components for the *current* cycle out of band (kernel starts,
+  // zero-latency sends landing behind this cycle's pop). sm_acct_[s] is the
+  // first cycle not yet covered by SM s's idle/stall accounting; see
+  // flush_sm_accounting().
   std::optional<sim::EventWheel> wheel_;
   std::uint64_t due_now_mask_ = 0;
   std::uint64_t bank_mask_ = 0;

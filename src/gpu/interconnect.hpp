@@ -92,7 +92,7 @@ class Interconnect {
   // Express-path effectiveness: a send whose port had zero backlog at admit
   // got the closed-form ("express") delivery schedule; one admitted behind
   // other traffic was queued by the bandwidth model. Pure contention
-  // properties of the simulated run — identical at every hotpath level.
+  // properties of the simulated run — identical in both stepping loops.
   std::uint64_t request_express() const noexcept { return request_express_; }
   std::uint64_t request_queued() const noexcept {
     return request_flits_ - request_express_;

@@ -1,5 +1,6 @@
-// Hierarchical event wheel: the hotpath=2 scheduler primitive that replaces
-// the per-cycle linear min-scan over component event lanes.
+// Hierarchical event wheel: the scheduler primitive behind Gpu's
+// event-driven stepping loop (fast_forward), which pops each cycle's exact
+// due set instead of ticking every component.
 //
 // Near wheel: kBuckets one-cycle buckets (power of two), each a 64-bit mask
 // of component ids with an entry at that cycle, plus a bucket-occupancy

@@ -117,15 +117,8 @@ const std::vector<KnobSpec>& knob_registry() {
       {"trace", Type::kString, "l2.trace", "L2 demand-stream trace path",
        kKnobRecord | kKnobReplay},
       {"fastforward", Type::kBool, "1",
-       "event-driven idle-cycle skip; results are identical either way",
-       kRunMatrixRecordSubmit},
-      {"hotpath", Type::kInt, "2",
-       "hot-path level: 0=plain loop, 1=event lanes, 2=event wheel; results are "
-       "identical at every level",
-       kRunMatrixRecordSubmit},
-      {"tick_jobs", Type::kInt, "1",
-       "threads for the per-cycle L2 bank tick batch (hotpath only); results are "
-       "identical at any value",
+       "event-wheel stepping with idle-cycle skip (0 = plain per-cycle reference "
+       "loop); results are identical either way",
        kRunMatrixRecordSubmit},
       {"faults", Type::kBool, "0", "seeded STT-RAM retention/write-failure injector",
        kRunMatrixSubmit},
@@ -266,12 +259,6 @@ RunOptions run_options_from_knobs(const Config& cfg, KnobCommand command) {
   if (find_knob(command, "fastforward") != nullptr) {
     opts.fast_forward = knob_bool(cfg, command, "fastforward");
   }
-  if (find_knob(command, "hotpath") != nullptr) {
-    opts.hotpath = static_cast<unsigned>(knob_int(cfg, command, "hotpath"));
-  }
-  if (find_knob(command, "tick_jobs") != nullptr) {
-    opts.tick_jobs = static_cast<unsigned>(knob_int(cfg, command, "tick_jobs"));
-  }
   if (find_knob(command, "faults") != nullptr) {
     opts.faults = fault_knobs(cfg, command);
   }
@@ -289,8 +276,6 @@ void run_options_to_json(JsonWriter& w, const RunOptions& opts) {
   // side's strtod sees the identical text.
   w.key("scale").value(scale.str());
   w.key("fastforward").value(opts.fast_forward);
-  w.key("hotpath").value(static_cast<std::uint64_t>(opts.hotpath));
-  w.key("tick_jobs").value(static_cast<std::uint64_t>(opts.tick_jobs));
   w.key("faults").value(opts.faults.enabled);
   w.key("fault_seed").value(static_cast<std::uint64_t>(opts.faults.seed));
   w.key("fault_accel").value(accel.str());

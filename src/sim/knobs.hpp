@@ -93,8 +93,8 @@ sttl2::FaultInjectionConfig fault_knobs(const Config& cfg, KnobCommand command);
 /// pass through. Nested arrays/objects and null are rejected with SimError.
 Config config_from_json(const JsonValue& obj);
 
-/// Resolves the simulation-shaping RunOptions fields — scale, fastforward,
-/// hotpath, tick_jobs and the fault knobs — from @p cfg using the registry
+/// Resolves the simulation-shaping RunOptions fields — scale, fastforward
+/// and the fault knobs — from @p cfg using the registry
 /// defaults for @p command. Knobs outside @p command's mask keep their
 /// RunOptions defaults. Orchestration knobs (cache/jobs/watchdog/...) are
 /// intentionally not resolved here; they belong to the caller.

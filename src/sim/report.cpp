@@ -138,9 +138,9 @@ void write_run_json(std::ostream& os, const Metrics& metrics, const gpu::RunResu
   w.end_object();
 
   // Transport/scheduler observability: express vs queued splits are
-  // contention facts of the simulated machine (identical at every hotpath
-  // level); the wheel high-water marks describe the hotpath=2 scheduler and
-  // read zero at lower levels.
+  // contention facts of the simulated machine (identical in both stepping
+  // loops); the wheel high-water marks describe the event-wheel scheduler
+  // and read zero under fastforward=0.
   w.key("scheduler").begin_object();
   w.key("icnt_request_express").value(run.sched.icnt_request_express);
   w.key("icnt_request_queued").value(run.sched.icnt_request_queued);

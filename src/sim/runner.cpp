@@ -33,12 +33,8 @@ std::unique_ptr<gpu::L2BankFactory> make_factory(const ArchSpec& spec) {
 /// the spec's copies so a pre-mutated spec cannot silently diverge from
 /// what the caller asked for.
 ArchSpec configured(const ArchSpec& spec, const RunOptions& opts) {
-  STTGPU_REQUIRE(opts.hotpath <= 2,
-                 "hotpath must be 0 (plain loop), 1 (event lanes) or 2 (event wheel)");
   ArchSpec s = spec;
   s.gpu.fast_forward = opts.fast_forward;
-  s.gpu.hotpath = opts.hotpath;
-  s.gpu.tick_jobs = opts.tick_jobs;
   s.gpu.telemetry = opts.telemetry;
   s.gpu.cancel = opts.cancel;
   s.gpu.heartbeat = opts.heartbeat;

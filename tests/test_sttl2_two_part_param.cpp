@@ -3,6 +3,8 @@
 // LR associativity and buffer size.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "bank_harness.hpp"
 #include "common/rng.hpp"
 
@@ -12,15 +14,23 @@ namespace {
 using Harness = sttgpu::testing::TwoPartHarness;
 
 struct ParamCase {
-  SearchPolicy search;
+  /// A SearchPolicy widened to 4 bytes. gtest names each case after the raw
+  /// bytes of its parameter, and a 1-byte field would leave three
+  /// uninitialised padding bytes in those names, different on every run.
+  std::uint32_t search;
   unsigned threshold;
   unsigned lr_assoc;  // 0 = fully associative
   unsigned buffer_lines;
+
+  SearchPolicy policy() const { return static_cast<SearchPolicy>(search); }
 };
+
+constexpr auto kSequential = static_cast<std::uint32_t>(SearchPolicy::kSequential);
+constexpr auto kParallel = static_cast<std::uint32_t>(SearchPolicy::kParallel);
 
 std::string case_name(const ::testing::TestParamInfo<ParamCase>& info) {
   const ParamCase& p = info.param;
-  return std::string(to_string(p.search)) + "_th" + std::to_string(p.threshold) + "_a" +
+  return std::string(to_string(p.policy())) + "_th" + std::to_string(p.threshold) + "_a" +
          std::to_string(p.lr_assoc) + "_b" + std::to_string(p.buffer_lines);
 }
 
@@ -30,7 +40,7 @@ class TwoPartSweep : public ::testing::TestWithParam<ParamCase> {
     TwoPartBankConfig c;
     c.hr_bytes = 14 * 1024;
     c.lr_bytes = 2 * 1024;
-    c.search = GetParam().search;
+    c.search = GetParam().policy();
     c.write_threshold = GetParam().threshold;
     c.lr_assoc = GetParam().lr_assoc;
     c.buffer_lines = GetParam().buffer_lines;
@@ -96,16 +106,16 @@ TEST_P(TwoPartSweep, DeterministicReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, TwoPartSweep,
-    ::testing::Values(ParamCase{SearchPolicy::kSequential, 1, 2, 10},
-                      ParamCase{SearchPolicy::kParallel, 1, 2, 10},
-                      ParamCase{SearchPolicy::kSequential, 3, 2, 10},
-                      ParamCase{SearchPolicy::kSequential, 7, 2, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 1, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 4, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 0, 10},
-                      ParamCase{SearchPolicy::kSequential, 1, 2, 1},
-                      ParamCase{SearchPolicy::kSequential, 1, 2, 2},
-                      ParamCase{SearchPolicy::kParallel, 3, 0, 2}),
+    ::testing::Values(ParamCase{kSequential, 1, 2, 10},
+                      ParamCase{kParallel, 1, 2, 10},
+                      ParamCase{kSequential, 3, 2, 10},
+                      ParamCase{kSequential, 7, 2, 10},
+                      ParamCase{kSequential, 1, 1, 10},
+                      ParamCase{kSequential, 1, 4, 10},
+                      ParamCase{kSequential, 1, 0, 10},
+                      ParamCase{kSequential, 1, 2, 1},
+                      ParamCase{kSequential, 1, 2, 2},
+                      ParamCase{kParallel, 3, 0, 2}),
     case_name);
 
 }  // namespace

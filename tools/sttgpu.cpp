@@ -194,14 +194,9 @@ int cmd_run(const Config& cfg) {
   sim::validate_knobs(cfg, kCmd, "run");
   const std::string arch_name = sim::knob_string(cfg, kCmd, "arch");
   const std::string benchmark = sim::knob_string(cfg, kCmd, "benchmark");
-  const double scale = sim::knob_double(cfg, kCmd, "scale");
   const std::unique_ptr<Telemetry> tel = telemetry_from(cfg, kCmd);
 
-  sim::RunOptions opts;
-  opts.fast_forward = sim::knob_bool(cfg, kCmd, "fastforward");
-  opts.hotpath = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "hotpath"));
-  opts.tick_jobs = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "tick_jobs"));
-  opts.faults = sim::fault_knobs(cfg, kCmd);
+  sim::RunOptions opts = sim::run_options_from_knobs(cfg, kCmd);
   opts.telemetry = tel.get();
   opts.cancel = &g_cancel;
   sim::FaultSummary fault_summary;
@@ -210,7 +205,7 @@ int cmd_run(const Config& cfg) {
   };
 
   const sim::ArchSpec spec = sim::make_arch(sim::architecture_from_string(arch_name));
-  const workload::Workload w = workload::make_benchmark(benchmark, scale);
+  const workload::Workload w = workload::make_benchmark(benchmark, opts.scale);
   gpu::RunResult run;
   sim::Metrics m;
   try {
@@ -231,7 +226,7 @@ int cmd_run(const Config& cfg) {
 
   // Shared with `sttgpu result`: a row fetched from the sweep service
   // prints byte-identically to this direct run.
-  sim::print_metrics_block(std::cout, m, scale);
+  sim::print_metrics_block(std::cout, m, opts.scale);
   if (!run.l2_counters.all().empty()) {
     std::cout << "  counters:\n";
     for (const auto& [name, value] : run.l2_counters.all()) {
@@ -268,14 +263,9 @@ int cmd_run(const Config& cfg) {
 int cmd_matrix(const Config& cfg) {
   constexpr auto kCmd = sim::kKnobMatrix;
   sim::validate_knobs(cfg, kCmd, "matrix");
-  sim::RunOptions opts;
-  opts.scale = sim::knob_double(cfg, kCmd, "scale");
+  sim::RunOptions opts = sim::run_options_from_knobs(cfg, kCmd);
   opts.cache_path = sim::knob_string(cfg, kCmd, "cache");
   opts.jobs = sim::resolve_jobs(sim::knob_int(cfg, kCmd, "jobs"));
-  opts.fast_forward = sim::knob_bool(cfg, kCmd, "fastforward");
-  opts.hotpath = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "hotpath"));
-  opts.tick_jobs = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "tick_jobs"));
-  opts.faults = sim::fault_knobs(cfg, kCmd);
   opts.cancel = &g_cancel;
   opts.watchdog_s = sim::knob_double(cfg, kCmd, "watchdog");
   opts.job_timeout_s = sim::knob_double(cfg, kCmd, "job_timeout");
@@ -320,15 +310,12 @@ int cmd_record(const Config& cfg) {
   sim::validate_knobs(cfg, kCmd, "record");
   const sim::ArchSpec spec =
       sim::make_arch(sim::architecture_from_string(sim::knob_string(cfg, kCmd, "arch")));
-  const workload::Workload w = workload::make_benchmark(
-      sim::knob_string(cfg, kCmd, "benchmark"), sim::knob_double(cfg, kCmd, "scale"));
+  sim::RunOptions opts = sim::run_options_from_knobs(cfg, kCmd);
+  const workload::Workload w =
+      workload::make_benchmark(sim::knob_string(cfg, kCmd, "benchmark"), opts.scale);
   const std::string path = sim::knob_string(cfg, kCmd, "trace");
   const std::unique_ptr<Telemetry> tel = telemetry_from(cfg, kCmd);
 
-  sim::RunOptions opts;
-  opts.fast_forward = sim::knob_bool(cfg, kCmd, "fastforward");
-  opts.hotpath = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "hotpath"));
-  opts.tick_jobs = static_cast<unsigned>(sim::knob_int(cfg, kCmd, "tick_jobs"));
   opts.telemetry = tel.get();
   opts.cancel = &g_cancel;
   const sim::Metrics m = sim::record_trace(spec, w, path, opts);
