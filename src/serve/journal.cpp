@@ -23,6 +23,22 @@ std::string sub_payload(std::uint64_t id, const std::string& options_json) {
 
 std::string done_payload(std::uint64_t id) { return "done " + std::to_string(id); }
 
+/// write(2)s all of @p bytes; false (errno set) on failure.
+bool write_fully(int fd, std::string_view bytes) {
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  while (n > 0) {
+    const ssize_t k = ::write(fd, p, n);
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += k;
+    n -= static_cast<std::size_t>(k);
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string Journal::derive_path(const std::string& csv_path) {
@@ -115,13 +131,28 @@ Journal::Journal(std::string path, std::function<void(const std::string&)> log)
 
   for (const auto& [id, json] : open_) recovered_.push_back({id, json});
 
-  // Compact: a fresh file needs its meta frame; a dirty one (retired pairs,
-  // corruption, torn tail) is rewritten to just the meta + open subs. The
-  // rewrite is atomic (temp + rename) and plain write(2) — only live
-  // appends go through wal_append and its crash-injection budget.
+  // A fresh file gets its meta frame written in place, with no fsync:
+  // nothing has been acknowledged yet, and the first record_submission's
+  // fsync makes the meta frame durable together with its `sub`. A crash
+  // before that leaves an empty file (reopens as fresh) or a torn frame
+  // (truncated as a torn tail by the rewrite below).
+  //
+  // A dirty file (retired pairs, corruption, torn tail) is compacted to
+  // just the meta + open subs by an atomic rewrite (temp + fsync + rename).
+  // Both use plain write(2) — only live appends go through wal_append and
+  // its crash-injection budget.
   const bool fresh = buf.empty();
   const bool dirty = retired > 0 || !report.clean();
-  if (fresh || dirty) {
+  if (fresh) {
+    const std::string meta = store::frame_record(kJournalMeta);
+    if (!write_fully(fd_, meta)) {
+      const std::string why = std::strerror(errno);
+      ::close(fd_);
+      fd_ = -1;
+      throw JournalError("cannot write journal " + path_ + ": " + why);
+    }
+    bytes_ = meta.size();
+  } else if (dirty) {
     std::string out;
     out += store::frame_record(kJournalMeta);
     for (const auto& [id, json] : open_) out += store::frame_record(sub_payload(id, json));
@@ -133,20 +164,12 @@ Journal::Journal(std::string path, std::function<void(const std::string&)> log)
       fd_ = -1;
       throw JournalError("cannot rewrite journal " + tmp + ": " + why);
     }
-    const char* p = out.data();
-    std::size_t n = out.size();
-    while (n > 0) {
-      const ssize_t k = ::write(tfd, p, n);
-      if (k < 0) {
-        if (errno == EINTR) continue;
-        const std::string why = std::strerror(errno);
-        ::close(tfd);
-        ::close(fd_);
-        fd_ = -1;
-        throw JournalError("cannot rewrite journal " + tmp + ": " + why);
-      }
-      p += k;
-      n -= static_cast<std::size_t>(k);
+    if (!write_fully(tfd, out)) {
+      const std::string why = std::strerror(errno);
+      ::close(tfd);
+      ::close(fd_);
+      fd_ = -1;
+      throw JournalError("cannot rewrite journal " + tmp + ": " + why);
     }
     ::fsync(tfd);
     ::close(tfd);

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
+#include <new>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -14,6 +14,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -44,29 +45,22 @@ std::string one_line(std::string s) {
 
 // --- child side ------------------------------------------------------------
 
-/// Serializes pipe lines from the simulation thread and the heartbeat
-/// forwarder. One write(2) per line: lines stay well under PIPE_BUF, so the
-/// mutex is belt on top of the kernel's own atomicity braces.
-struct LineWriter {
-  int fd;
-  std::mutex mu;
-
-  void line(std::string s) {
-    s.push_back('\n');
-    std::lock_guard<std::mutex> lk(mu);
-    const char* p = s.data();
-    std::size_t n = s.size();
-    while (n > 0) {
-      const ssize_t k = ::write(fd, p, n);
-      if (k < 0) {
-        if (errno == EINTR) continue;
-        return;  // parent is gone; PDEATHSIG will reap us shortly
-      }
-      p += k;
-      n -= static_cast<std::size_t>(k);
+/// Writes one pipe line. The child is single-threaded, so lines need no
+/// lock; they stay well under PIPE_BUF.
+void put_line(int fd, std::string s) {
+  s.push_back('\n');
+  const char* p = s.data();
+  std::size_t n = s.size();
+  while (n > 0) {
+    const ssize_t k = ::write(fd, p, n);
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      return;  // parent is gone; PDEATHSIG will reap us shortly
     }
+    p += k;
+    n -= static_cast<std::size_t>(k);
   }
-};
+}
 
 /// STTGPU_SANDBOX_FAULT="<arch>/<bench>=<abort|oom|hang>[@attempt],..." —
 /// returns the fault mode matching this (job, attempt), or "".
@@ -103,7 +97,8 @@ std::string fault_mode(const std::string& arch, const std::string& bench,
 }
 
 [[noreturn]] void run_child(const SandboxJob& job, const SandboxOptions& opts,
-                            unsigned attempt, int wfd) {
+                            unsigned attempt, int wfd,
+                            std::atomic<std::uint64_t>* heartbeat) {
   // Die with the daemon: an orphaned child must never outlive a SIGKILLed
   // parent holding the store lock or a listener backlog open.
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
@@ -116,54 +111,65 @@ std::string fault_mode(const std::string& arch, const std::string& bench,
     ::setrlimit(RLIMIT_AS, &rl);
   }
 
-  LineWriter out{wfd, {}};
-  std::atomic<std::uint64_t> hb{0};
-  std::atomic<bool> done{false};
-  // Forward heartbeat progress; the parent's watchdog only cares about
-  // *changes*, so unchanged values are not re-sent.
-  std::thread beat([&] {
-    std::uint64_t last = ~0ull;
-    while (!done.load(std::memory_order_relaxed)) {
-      const std::uint64_t v = hb.load(std::memory_order_relaxed);
-      if (v != last) {
-        last = v;
-        out.line("beat " + std::to_string(v));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  });
-
   int code = 0;
   try {
     const std::string mode = fault_mode(job.arch, job.bench, attempt);
     if (!mode.empty()) apply_fault(mode);
     sim::RunOptions ro = job.base;
-    ro.heartbeat = &hb;
+    ro.heartbeat = heartbeat;
     std::unique_ptr<Telemetry> tel;
     if (job.want_telemetry) {
       tel = std::make_unique<Telemetry>(job.interval);
       tel->set_on_frame([&](const Telemetry& T, std::size_t frame) {
-        out.line("tel " + telemetry_event_json(job.arch, job.bench, T, frame));
+        put_line(wfd, "tel " + telemetry_event_json(job.arch, job.bench, T, frame));
       });
       ro.telemetry = tel.get();
     }
     const sim::Metrics m = sim::run_one(job.arch_id, job.bench, ro);
-    out.line("row " + store::encode_put(job.fp, job.scale17, sim::to_store_row(m)));
+    put_line(wfd, "row " + store::encode_put(job.fp, job.scale17, sim::to_store_row(m)));
   } catch (const std::bad_alloc&) {
-    out.line("err address-space limit reached (mem_limit)");
+    put_line(wfd, "err address-space limit reached (mem_limit)");
     code = 3;
   } catch (const std::exception& e) {
-    out.line("err " + one_line(e.what()));
+    put_line(wfd, "err " + one_line(e.what()));
     code = 2;
   }
-  done.store(true, std::memory_order_relaxed);
-  beat.join();
   // _exit: never run the daemon's static destructors (store, listeners)
   // from inside a forked copy.
   ::_exit(code);
 }
 
 // --- parent side -----------------------------------------------------------
+
+// The parent reads the child's heartbeat straight out of shared memory, which
+// is only sound for an atomic that never falls back to a (process-private)
+// lock.
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+              "a heartbeat shared across fork() must be a lock-free atomic");
+
+/// One MAP_SHARED anonymous page holding a child's cycle-count heartbeat:
+/// mapped before fork(), so the child's Gpu stores into the very word the
+/// parent's poll loop reads. Unmapped on destruction, after the child is
+/// reaped.
+class SharedHeartbeat {
+ public:
+  SharedHeartbeat() {
+    void* p = ::mmap(nullptr, sizeof(std::atomic<std::uint64_t>), PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (p != MAP_FAILED) beat_ = new (p) std::atomic<std::uint64_t>(0);
+  }
+  ~SharedHeartbeat() {
+    if (beat_ != nullptr) ::munmap(beat_, sizeof *beat_);
+  }
+  SharedHeartbeat(const SharedHeartbeat&) = delete;
+  SharedHeartbeat& operator=(const SharedHeartbeat&) = delete;
+
+  /// Null when the mapping failed.
+  std::atomic<std::uint64_t>* get() const noexcept { return beat_; }
+
+ private:
+  std::atomic<std::uint64_t>* beat_ = nullptr;
+};
 
 struct AttemptOutcome {
   SandboxStatus status = SandboxStatus::kFailed;
@@ -175,6 +181,12 @@ struct AttemptOutcome {
 AttemptOutcome run_attempt(const SandboxJob& job, const SandboxOptions& opts,
                            unsigned attempt,
                            const std::function<void(const std::string&)>& on_event) {
+  const SharedHeartbeat page;
+  std::atomic<std::uint64_t>* const beat = page.get();
+  if (beat == nullptr) {
+    return {SandboxStatus::kFailed,
+            std::string("sandbox heartbeat mmap failed: ") + std::strerror(errno), "", false};
+  }
   int p[2];
   if (::pipe2(p, O_CLOEXEC) != 0) {
     return {SandboxStatus::kFailed,
@@ -189,13 +201,15 @@ AttemptOutcome run_attempt(const SandboxJob& job, const SandboxOptions& opts,
   }
   if (pid == 0) {
     ::close(p[0]);
-    run_child(job, opts, attempt, p[1]);  // never returns
+    run_child(job, opts, attempt, p[1], beat);  // never returns
   }
   ::close(p[1]);
 
   AttemptOutcome out;
   std::string buf;
-  std::uint64_t last_beat = ~0ull;
+  // Progress is anchored at the attempt start until the first beat change,
+  // as in the thread supervisor's monitor.
+  std::uint64_t last_beat = 0;
   const std::int64_t start = now_ms();
   std::int64_t last_progress = start;
   bool eof = false;
@@ -211,13 +225,7 @@ AttemptOutcome run_attempt(const SandboxJob& job, const SandboxOptions& opts,
         while ((nl = buf.find('\n')) != std::string::npos) {
           const std::string line = buf.substr(0, nl);
           buf.erase(0, nl + 1);
-          if (line.rfind("beat ", 0) == 0) {
-            const std::uint64_t v = std::strtoull(line.c_str() + 5, nullptr, 10);
-            if (v != last_beat) {
-              last_beat = v;
-              last_progress = now_ms();
-            }
-          } else if (line.rfind("tel ", 0) == 0) {
+          if (line.rfind("tel ", 0) == 0) {
             if (on_event) on_event(line.substr(4));
           } else if (line.rfind("row ", 0) == 0) {
             out.row_line = line.substr(4);
@@ -232,6 +240,11 @@ AttemptOutcome run_attempt(const SandboxJob& job, const SandboxOptions& opts,
       }
     }
     const std::int64_t now = now_ms();
+    const std::uint64_t b = beat->load(std::memory_order_relaxed);
+    if (b != last_beat) {
+      last_beat = b;
+      last_progress = now;
+    }
     if (!eof && opts.cancel != nullptr && opts.cancel->requested()) {
       out.status = SandboxStatus::kCancelled;
       out.error = "cancelled";

@@ -3,13 +3,15 @@
 // run_sandboxed() executes one cache-miss simulation in a forked child, so
 // a run that SIGSEGVs, exhausts memory, or wedges in an infinite loop can
 // never take the daemon — and every other client's in-flight work — down
-// with it. The parent supervises the child over a pipe with the PR-5
-// supervisor's semantics transplanted onto process boundaries:
+// with it. The parent supervises the child with the thread supervisor's
+// (sim/supervisor) semantics transplanted onto process boundaries:
 //
-//   * heartbeat — the child forwards its cycle-count heartbeat as "beat"
-//     lines; a child whose heartbeat stops advancing for watchdog_s seconds
-//     is SIGKILLed (status kWatchdog). job_timeout_s bounds one attempt's
-//     wall clock the same way (kTimeout).
+//   * heartbeat — the parent maps one MAP_SHARED page before fork(); the
+//     child's Gpu publishes its cycle count there at every supervision
+//     point, and the parent's poll loop reads it directly. A child whose
+//     heartbeat stops advancing for watchdog_s seconds is SIGKILLed (status
+//     kWatchdog). job_timeout_s bounds one attempt's wall clock the same way
+//     (kTimeout).
 //   * retry — crashes, OOMs and ordinary failures are retried up to
 //     `retries` extra times with the supervisor's own deterministic
 //     backoff curve (sim::retry_backoff_seconds). Watchdog/timeout kills
@@ -22,11 +24,12 @@
 //     caught std::bad_alloc, or as kCrashed if the kernel gets there first)
 //     instead of driving the host into swap.
 //
-// The result travels back as the store's own "put ..." payload line
-// (store/record.hpp, max_digits10 round-trip exact), so a row simulated in
-// a sandbox is byte-identical to one simulated in-process or by a direct
-// `sttgpu matrix` run. Telemetry frames are forwarded live as the watch
-// stream's own event JSON.
+// The result travels back over a pipe as the store's own "put ..." payload
+// line (store/record.hpp, max_digits10 round-trip exact), so a row simulated
+// in a sandbox is byte-identical to one simulated in-process or by a direct
+// `sttgpu matrix` run. Telemetry frames are forwarded live on the same pipe
+// as the watch stream's own event JSON. The child runs single-threaded and
+// exits as soon as its row is written.
 //
 // Fault injection for tests and the CI chaos smoke: the
 // STTGPU_SANDBOX_FAULT environment variable holds a comma-separated list of

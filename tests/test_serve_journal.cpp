@@ -133,6 +133,55 @@ TEST(ServeJournal, CorruptFrameIsSkippedNotFatal) {
   EXPECT_EQ(j.stats().open, 1u);
 }
 
+TEST(ServeJournal, MetaOnlyJournalReopensClean) {
+  // A daemon stopped before its first submission leaves only the meta
+  // frame, written without an fsync of its own.
+  const TempDir dir;
+  const std::string path = dir.path + "/j.journal";
+  const std::string meta = store::frame_record("meta sttgpu-journal v1");
+  {
+    const Journal j(path);
+    EXPECT_EQ(j.stats().bytes, meta.size());
+  }
+  ASSERT_EQ(slurp(path), meta);
+  std::vector<std::string> log;
+  {
+    Journal j(path, [&log](const std::string& line) { log.push_back(line); });
+    EXPECT_TRUE(j.recovered().empty());
+    EXPECT_EQ(j.max_id(), 0u);
+    EXPECT_EQ(log, std::vector<std::string>{});  // nothing torn, corrupt or pending
+    EXPECT_EQ(slurp(path), meta);                // and nothing to compact
+    j.record_submission(1, R"({"archs":"C1"})");
+  }
+  const Journal j(path);
+  ASSERT_EQ(j.recovered().size(), 1u);
+  EXPECT_EQ(j.recovered()[0].id, 1u);
+}
+
+TEST(ServeJournal, TornMetaFrameReopensAsFresh) {
+  // A crash while a fresh journal's meta frame was being written leaves a
+  // prefix of it: it must reopen as an empty journal that takes new records.
+  const TempDir dir;
+  const std::string path = dir.path + "/j.journal";
+  const std::string meta = store::frame_record("meta sttgpu-journal v1");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(meta.data(), static_cast<std::streamsize>(meta.size() / 2));
+  }
+  {
+    Journal j(path);
+    EXPECT_TRUE(j.recovered().empty());
+    EXPECT_EQ(j.max_id(), 0u);
+    EXPECT_EQ(slurp(path), meta);  // the torn prefix was replaced by a whole frame
+    j.record_submission(1, R"({"archs":"C2"})");
+  }
+  const Journal j(path);
+  const std::vector<Journal::Pending> pending = j.recovered();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].id, 1u);
+  EXPECT_EQ(pending[0].options_json, R"({"archs":"C2"})");
+}
+
 TEST(ServeJournal, ForeignFormatMarkerIsRejected) {
   const TempDir dir;
   const std::string path = dir.path + "/j.journal";

@@ -1,12 +1,15 @@
 // Unit tests of the sweep service's process-isolated simulation runner
-// (serve/sandbox.hpp): byte-identity of sandboxed rows, crash/OOM/wedge
-// containment via the STTGPU_SANDBOX_FAULT hook, retry/backoff, and
-// cancellation — all without a server in the loop.
+// (serve/sandbox.hpp): byte-identity of sandboxed rows, the shared-page
+// heartbeat and the sandbox's own latency, crash/OOM/wedge containment via
+// the STTGPU_SANDBOX_FAULT hook, retry/backoff, and cancellation — all
+// without a server in the loop.
 #include "serve/sandbox.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -50,6 +53,25 @@ bool asan_active() {
 #endif
 }
 
+bool tsan_active() {
+#if defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  return true;
+#else
+  return false;
+#endif
+#else
+  return false;
+#endif
+}
+
+double elapsed_ms(std::chrono::steady_clock::time_point from,
+                  std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
 TEST(ServeSandbox, RowIsByteIdenticalToInProcessRun) {
   const SandboxJob job = small_job();
   const SandboxResult res = run_sandboxed(job, SandboxOptions{});
@@ -63,6 +85,53 @@ TEST(ServeSandbox, RowIsByteIdenticalToInProcessRun) {
   EXPECT_EQ(res.row_line, store::encode_put(job.fp, job.scale17, sim::to_store_row(m)));
 }
 
+TEST(ServeSandbox, ShortRunPaysNoTimerWait) {
+  // What a sandbox adds to a short run is fork, pipe and exit, not a timer
+  // period: the child exits as soon as its row is written, and the parent
+  // wakes on the pipe's end-of-file.
+  SandboxJob job = small_job();
+  job.bench = "nw";
+  std::vector<double> overhead_ms;
+  for (int i = 0; i < 5; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    sim::RunOptions direct = job.base;
+    (void)sim::run_one(job.arch_id, job.bench, direct);
+    const auto t1 = std::chrono::steady_clock::now();
+    const SandboxResult res = run_sandboxed(job, SandboxOptions{});
+    const auto t2 = std::chrono::steady_clock::now();
+    ASSERT_EQ(res.status, SandboxStatus::kOk) << res.error;
+    overhead_ms.push_back(elapsed_ms(t1, t2) - elapsed_ms(t0, t1));
+  }
+  std::sort(overhead_ms.begin(), overhead_ms.end());
+  // ~1.4 ms in plain builds and ~5 ms under ASan. Under TSan, fork and the
+  // child's copy-on-write faults also copy shadow memory (~20 ms). A timer
+  // wait would add ~47 ms on top in every build.
+  const double bound_ms = tsan_active() ? 40.0 : 25.0;
+  EXPECT_LT(overhead_ms[2], bound_ms) << "median sandbox overhead in ms";
+}
+
+TEST(ServeSandbox, HealthyChildOutlivesAWatchdogShorterThanItsRun) {
+  // The run lasts well over one watchdog period, so it survives only if the
+  // heartbeat the child's Gpu publishes every 16384 cycles reaches the
+  // parent while the run is in progress. Each watchdog spans many beat gaps
+  // and is still well under the run:
+  //   plain: scale 1.0, ~55 ms gaps in a ~2.1 s run. A 0.4 s watchdog over
+  //          a 0.7 s run at scale 0.5 failed about once in 20 parallel
+  //          full-suite runs, on host stalls and CPU oversubscription;
+  //   ASan:  scale 0.5, ~0.27 s gaps in a ~2.9 s run;
+  //   TSan:  scale 0.5, ~1.5 s gaps in a ~12-15 s run.
+  const bool sanitized = asan_active() || tsan_active();
+  SandboxJob job = small_job();
+  job.base.scale = sanitized ? 0.5 : 1.0;
+  job.scale17 = store::scale_text(job.base.scale);
+  SandboxOptions opts;
+  opts.watchdog_s = tsan_active() ? 5.0 : asan_active() ? 1.5 : 0.8;
+  const SandboxResult res = run_sandboxed(job, opts);
+  ASSERT_EQ(res.status, SandboxStatus::kOk) << res.error;
+  EXPECT_EQ(res.kills, 0u);
+  EXPECT_EQ(res.attempts, 1u);
+}
+
 TEST(ServeSandbox, ChildAbortIsContainedAndReportedAsCrash) {
   const FaultEnv env("C1/bfs=abort");
   const SandboxResult res = run_sandboxed(small_job(), SandboxOptions{});
@@ -73,7 +142,9 @@ TEST(ServeSandbox, ChildAbortIsContainedAndReportedAsCrash) {
 }
 
 TEST(ServeSandbox, MemLimitTurnsRunawayAllocationIntoOom) {
-  if (asan_active()) GTEST_SKIP() << "RLIMIT_AS is incompatible with ASan shadow maps";
+  if (asan_active() || tsan_active()) {
+    GTEST_SKIP() << "RLIMIT_AS is incompatible with the sanitizers' shadow maps";
+  }
   const FaultEnv env("C1/bfs=oom");
   SandboxOptions opts;
   opts.mem_limit_bytes = 256ull << 20;

@@ -4,24 +4,30 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 namespace sttgpu::sim {
 namespace {
 
-constexpr const char* kPath = "test_trace.csv";
-
-struct TraceCleanup {
-  ~TraceCleanup() { std::remove(kPath); }
-} cleanup_guard;
+/// A trace file private to the running test and removed when it ends:
+/// ctest runs each TEST as its own process in one directory, so a shared
+/// name would let parallel tests overwrite and delete each other's file.
+struct TraceFile {
+  const std::string path =
+      std::string("test_trace_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
+  ~TraceFile() { std::remove(path.c_str()); }
+};
 
 TEST(Trace, SaveLoadRoundTrip) {
+  const TraceFile trace;
   const std::vector<TraceRecord> records = {
       {10, 0, 0x1000, false, 2},
       {11, 1, 0x2000, true, 3},
       {400, 0, 0x1000, true, 2},
   };
-  save_trace(kPath, records);
-  const auto loaded = load_trace(kPath);
+  save_trace(trace.path, records);
+  const auto loaded = load_trace(trace.path);
   ASSERT_EQ(loaded.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(loaded[i].cycle, records[i].cycle);
@@ -30,39 +36,39 @@ TEST(Trace, SaveLoadRoundTrip) {
     EXPECT_EQ(loaded[i].is_store, records[i].is_store);
     EXPECT_EQ(loaded[i].sm, records[i].sm);
   }
-  std::remove(kPath);
 }
 
 TEST(Trace, LoadRejectsGarbage) {
+  const TraceFile trace;
   EXPECT_THROW(load_trace("nonexistent_trace.csv"), SimError);
   {
-    std::ofstream out(kPath);
+    std::ofstream out(trace.path);
     out << "not,a,trace,header,x\n";
   }
-  EXPECT_THROW(load_trace(kPath), SimError);
-  std::remove(kPath);
+  EXPECT_THROW(load_trace(trace.path), SimError);
 }
 
 TEST(Trace, RecordingMatchesTheRunDemand) {
+  const TraceFile trace;
   const ArchSpec spec = make_arch(Architecture::kSramBaseline);
   const workload::Workload w = workload::make_benchmark("hotspot", 0.04);
-  const Metrics m = record_trace(spec, w, kPath);
+  const Metrics m = record_trace(spec, w, trace.path);
   EXPECT_GT(m.ipc, 0.0);
 
-  const auto records = load_trace(kPath);
+  const auto records = load_trace(trace.path);
   EXPECT_GT(records.size(), 100u);
   // The trace is exactly the recorded L2 demand of an identical plain run.
   gpu::RunResult run;
   (void)run_one_detailed(spec, w, run);
   EXPECT_EQ(records.size(), run.l2.accesses());
-  std::remove(kPath);
 }
 
 TEST(Trace, ReplayReproducesHitStatistics) {
+  const TraceFile trace;
   const ArchSpec spec = make_arch(Architecture::kSramBaseline);
   const workload::Workload w = workload::make_benchmark("hotspot", 0.04);
-  (void)record_trace(spec, w, kPath);
-  const auto records = load_trace(kPath);
+  (void)record_trace(spec, w, trace.path);
+  const auto records = load_trace(trace.path);
 
   gpu::RunResult run;
   (void)run_one_detailed(spec, w, run);
@@ -74,16 +80,16 @@ TEST(Trace, ReplayReproducesHitStatistics) {
   EXPECT_EQ(replay.stats.writes(), run.l2.writes());
   EXPECT_EQ(replay.stats.read_hits, run.l2.read_hits);
   EXPECT_EQ(replay.stats.read_misses, run.l2.read_misses);
-  std::remove(kPath);
 }
 
 TEST(Trace, ReplayEnablesCheapArchitectureSweeps) {
+  const TraceFile trace;
   // Record once on the SRAM baseline, then evaluate a two-part design from
   // the trace alone.
   const ArchSpec sram = make_arch(Architecture::kSramBaseline);
   const workload::Workload w = workload::make_benchmark("kmeans", 0.04);
-  (void)record_trace(sram, w, kPath);
-  const auto records = load_trace(kPath);
+  (void)record_trace(sram, w, trace.path);
+  const auto records = load_trace(trace.path);
 
   const ArchSpec c1 = make_arch(Architecture::kC1);
   const ReplayResult replay = replay_trace(records, c1.two_part_cfg, c1.gpu);
@@ -93,7 +99,6 @@ TEST(Trace, ReplayEnablesCheapArchitectureSweeps) {
   // The bigger two-part cache misses less than the trace's source cache.
   const ReplayResult base = replay_trace(records, sram.uniform, sram.gpu);
   EXPECT_LT(replay.stats.miss_rate(), base.stats.miss_rate());
-  std::remove(kPath);
 }
 
 }  // namespace
