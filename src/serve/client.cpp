@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -14,36 +13,19 @@
 
 namespace sttgpu::serve {
 
-Client Client::connect(const std::string& socket_path, int tcp_port) {
-  int fd = -1;
-  if (tcp_port > 0) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    STTGPU_REQUIRE(fd >= 0, std::string("socket: ") + std::strerror(errno));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(tcp_port));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw SimError("cannot reach the sweep service on 127.0.0.1:" +
-                     std::to_string(tcp_port) + " (" + why +
-                     ") — is `sttgpu serve` running?");
-    }
-  } else {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    STTGPU_REQUIRE(fd >= 0, std::string("socket: ") + std::strerror(errno));
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    STTGPU_REQUIRE(socket_path.size() < sizeof(addr.sun_path),
-                   "socket path too long: " + socket_path);
-    std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw SimError("cannot reach the sweep service at " + socket_path + " (" + why +
-                     ") — is `sttgpu serve` running?");
-    }
+Client Client::connect(const std::string& socket_path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  STTGPU_REQUIRE(socket_path.size() < sizeof(addr.sun_path),
+                 "socket path too long: " + socket_path);
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  STTGPU_REQUIRE(fd >= 0, std::string("socket: ") + std::strerror(errno));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const std::string why = std::strerror(errno);
+    ::close(fd);
+    throw SimError("cannot reach the sweep service at " + socket_path + " (" + why +
+                   ") — is `sttgpu serve` running?");
   }
   return Client(fd);
 }

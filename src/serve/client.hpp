@@ -1,6 +1,7 @@
 // Client side of the sweep-service protocol: connect, one framed
 // request/response exchange, and the watch event stream. Used by the
-// `sttgpu submit|status|watch|cancel|result` verbs and the server tests.
+// `sttgpu submit|status|watch|cancel|result|health` verbs and the server
+// tests.
 #pragma once
 
 #include <functional>
@@ -13,10 +14,10 @@ namespace sttgpu::serve {
 
 class Client {
  public:
-  /// Connects to a server: @p tcp_port > 0 dials 127.0.0.1:<port>,
-  /// otherwise the unix socket at @p socket_path. Throws SimError when
-  /// nothing is listening (the CLI tells the user to start `sttgpu serve`).
-  static Client connect(const std::string& socket_path, int tcp_port = 0);
+  /// Connects to the server's unix socket at @p socket_path. Throws SimError
+  /// when nothing is listening (the CLI tells the user to start `sttgpu
+  /// serve`).
+  static Client connect(const std::string& socket_path);
 
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;

@@ -1,7 +1,7 @@
 // Wire protocol of the sweep service (`sttgpu serve` and its client verbs).
 //
 // Requests and responses are length-framed JSON documents over a unix
-// socket (or a loopback TCP socket):
+// socket:
 //
 //   +------+----------------+----------------------+
 //   | SWP1 | u32 LE length  |  <length> JSON bytes |
@@ -41,7 +41,7 @@ namespace sttgpu::serve {
 
 /// Bumped on any incompatible wire change. Both sides send it; both sides
 /// refuse a mismatch (ProtocolMismatch / a "protocol" error response).
-inline constexpr std::int64_t kProtocolVersion = 1;
+inline constexpr std::int64_t kProtocolVersion = 2;
 
 /// Frame header magic ("SWeep Protocol 1", framing version — independent of
 /// kProtocolVersion, which governs the JSON inside).
@@ -52,7 +52,7 @@ inline constexpr char kFrameMagic[4] = {'S', 'W', 'P', '1'};
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
 /// The server could not bind/listen on its socket (path in use, bad
-/// directory, privileged port). Mapped to exit code 6 by the CLI.
+/// directory). Mapped to exit code 6 by the CLI.
 class BindError : public SimError {
  public:
   using SimError::SimError;

@@ -1,5 +1,6 @@
 #include "serve/sandbox.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -20,20 +21,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "sim/supervisor.hpp"
+#include "common/telemetry.hpp"
 #include "store/record.hpp"
 
 namespace sttgpu::serve {
 
 namespace {
-
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Collapses a multi-line error message into one pipe line.
 std::string one_line(std::string s) {
@@ -96,14 +92,53 @@ std::string fault_mode(const std::string& arch, const std::string& bench,
   for (;;) hog.push_back(std::make_unique<char[]>(16u << 20));
 }
 
+/// The watch stream's telemetry event JSON for one closed frame.
+std::string telemetry_event_json(const std::string& arch, const std::string& bench,
+                                 const Telemetry& tel, std::size_t frame) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
+  w.key("event").value("telemetry");
+  w.key("arch").value(arch);
+  w.key("benchmark").value(bench);
+  w.key("cycle").value(static_cast<std::uint64_t>(tel.frame_cycle(frame)));
+  w.key("counters").begin_object();
+  for (std::size_t k = 0; k < tel.track_count(); ++k) {
+    if (!tel.track_is_counter(k)) continue;
+    const auto& s = tel.track_samples(k);
+    const double prev = frame > 0 ? s[frame - 1] : 0.0;
+    w.key(tel.track_name(k)).value(s[frame] - prev);
+  }
+  w.end_object();
+  w.key("gauges").begin_object();
+  for (std::size_t k = 0; k < tel.track_count(); ++k) {
+    if (tel.track_is_counter(k)) continue;
+    w.key(tel.track_name(k)).value(tel.track_samples(k)[frame]);
+  }
+  w.end_object();
+  w.end_object();
+  return os.str();
+}
+
+/// Closes every descriptor the child inherited except stdio and @p keep. A
+/// copy held by a child would keep its peer from ever seeing EOF while the
+/// child lives: the daemon's listener (a restarting daemon would read the
+/// stale socket as "another server is alive"), a client connection, or
+/// another worker's attempt pipe that was open when this child forked.
+void close_inherited_fds(int keep) {
+  const unsigned k = static_cast<unsigned>(keep);
+  if (k > 3) ::close_range(3, k - 1, 0);
+  ::close_range(std::max(3u, k + 1), ~0u, 0);
+}
+
 [[noreturn]] void run_child(const SandboxJob& job, const SandboxOptions& opts,
                             unsigned attempt, int wfd,
                             std::atomic<std::uint64_t>* heartbeat) {
+  close_inherited_fds(wfd);
   // Die with the daemon: an orphaned child must never outlive a SIGKILLed
-  // parent holding the store lock or a listener backlog open.
+  // parent holding the store lock.
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
   if (::getppid() == 1) ::_exit(1);  // parent already gone before prctl
-  if (opts.in_child) opts.in_child();
   if (opts.mem_limit_bytes > 0) {
     rlimit rl{};
     rl.rlim_cur = opts.mem_limit_bytes;
@@ -171,217 +206,103 @@ class SharedHeartbeat {
   std::atomic<std::uint64_t>* beat_ = nullptr;
 };
 
-struct AttemptOutcome {
-  SandboxStatus status = SandboxStatus::kFailed;
-  std::string error;
-  std::string row_line;
-  bool killed = false;
-};
+/// Throws the SimError for a child that ended without a row. @p reported is
+/// the child's own "err" line, if it wrote one.
+[[noreturn]] void throw_child_failure(int st, const std::string& reported,
+                                      SandboxCounters& counters) {
+  if (WIFSIGNALED(st)) {
+    ++counters.crashes;
+    const int sig = WTERMSIG(st);
+    const char* name = ::strsignal(sig);
+    throw SimError("child killed by signal " + std::to_string(sig) +
+                   (name != nullptr ? std::string(" (") + name + ")" : ""));
+  }
+  const int code = WIFEXITED(st) ? WEXITSTATUS(st) : -1;
+  if (code == 3) ++counters.crashes;  // the mem_limit, caught as bad_alloc
+  if (!reported.empty()) throw SimError(reported);
+  throw SimError(code == 0 ? "child exited without a result row"
+                           : "child exited with status " + std::to_string(code));
+}
 
-AttemptOutcome run_attempt(const SandboxJob& job, const SandboxOptions& opts,
-                           unsigned attempt,
-                           const std::function<void(const std::string&)>& on_event) {
+}  // namespace
+
+std::string run_sandboxed(const SandboxJob& job, const SandboxOptions& opts,
+                          const sim::JobControl& ctl, SandboxCounters& counters,
+                          const std::function<void(const std::string&)>& on_event) {
+  ctl.checkpoint();  // a cancelled job forks nothing
   const SharedHeartbeat page;
   std::atomic<std::uint64_t>* const beat = page.get();
   if (beat == nullptr) {
-    return {SandboxStatus::kFailed,
-            std::string("sandbox heartbeat mmap failed: ") + std::strerror(errno), "", false};
+    throw SimError(std::string("sandbox heartbeat mmap failed: ") + std::strerror(errno));
   }
   int p[2];
   if (::pipe2(p, O_CLOEXEC) != 0) {
-    return {SandboxStatus::kFailed,
-            std::string("sandbox pipe failed: ") + std::strerror(errno), "", false};
+    throw SimError(std::string("sandbox pipe failed: ") + std::strerror(errno));
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
+    const std::string why = std::strerror(errno);
     ::close(p[0]);
     ::close(p[1]);
-    return {SandboxStatus::kFailed,
-            std::string("sandbox fork failed: ") + std::strerror(errno), "", false};
+    throw SimError("sandbox fork failed: " + why);
   }
+  const unsigned attempt = ++counters.forks;
   if (pid == 0) {
     ::close(p[0]);
     run_child(job, opts, attempt, p[1], beat);  // never returns
   }
   ::close(p[1]);
 
-  AttemptOutcome out;
-  std::string buf;
-  // Progress is anchored at the attempt start until the first beat change,
-  // as in the thread supervisor's monitor.
-  std::uint64_t last_beat = 0;
-  const std::int64_t start = now_ms();
-  std::int64_t last_progress = start;
-  bool eof = false;
-  while (!eof && !out.killed) {
+  // The child's last line is its "row" or "err" line, and it exits right
+  // after writing it, so the loop ends there rather than waiting for EOF;
+  // EOF ends it only for a child that died without either line.
+  std::string buf, row, error;
+  bool done = false, killed = false;
+  while (!done && !killed) {
     pollfd pfd{p[0], POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*ms=*/50);
-    if (rc > 0) {
+    if (::poll(&pfd, 1, /*ms=*/50) > 0) {
       char chunk[4096];
       const ssize_t k = ::read(p[0], chunk, sizeof chunk);
       if (k > 0) {
         buf.append(chunk, static_cast<std::size_t>(k));
         std::size_t nl;
-        while ((nl = buf.find('\n')) != std::string::npos) {
+        while (!done && (nl = buf.find('\n')) != std::string::npos) {
           const std::string line = buf.substr(0, nl);
           buf.erase(0, nl + 1);
           if (line.rfind("tel ", 0) == 0) {
             if (on_event) on_event(line.substr(4));
           } else if (line.rfind("row ", 0) == 0) {
-            out.row_line = line.substr(4);
-            last_progress = now_ms();
+            row = line.substr(4);
+            done = true;
           } else if (line.rfind("err ", 0) == 0) {
-            out.error = line.substr(4);
-            last_progress = now_ms();
+            error = line.substr(4);
+            done = true;
           }
         }
-      } else if (k == 0 || (k < 0 && errno != EINTR)) {
-        eof = true;
+      } else if (k == 0 || errno != EINTR) {
+        done = true;
       }
     }
-    const std::int64_t now = now_ms();
-    const std::uint64_t b = beat->load(std::memory_order_relaxed);
-    if (b != last_beat) {
-      last_beat = b;
-      last_progress = now;
-    }
-    if (!eof && opts.cancel != nullptr && opts.cancel->requested()) {
-      out.status = SandboxStatus::kCancelled;
-      out.error = "cancelled";
-      out.killed = true;
-    } else if (!eof && opts.watchdog_s > 0 &&
-               now - last_progress > static_cast<std::int64_t>(opts.watchdog_s * 1000.0)) {
-      out.status = SandboxStatus::kWatchdog;
-      out.error = "no heartbeat progress for " + std::to_string(opts.watchdog_s) +
-                  "s — child killed";
-      out.killed = true;
-    } else if (!eof && opts.job_timeout_s > 0 &&
-               now - start > static_cast<std::int64_t>(opts.job_timeout_s * 1000.0)) {
-      out.status = SandboxStatus::kTimeout;
-      out.error = "attempt exceeded " + std::to_string(opts.job_timeout_s) +
-                  "s — child killed";
-      out.killed = true;
-    }
+    // The supervisor's watchdog reads the copy; its kills come back as a
+    // cancelled token, like user cancellation.
+    ctl.beat(beat->load(std::memory_order_relaxed));
+    killed = !done && ctl.cancelled();
   }
-  if (out.killed) ::kill(pid, SIGKILL);
+  if (killed) {
+    ::kill(pid, SIGKILL);
+    ++counters.kills;
+  }
   ::close(p[0]);
   int st = 0;
   while (::waitpid(pid, &st, 0) < 0 && errno == EINTR) {
   }
-  if (out.killed) return out;
-
-  if (WIFSIGNALED(st)) {
-    const int sig = WTERMSIG(st);
-    const char* name = ::strsignal(sig);
-    out.status = SandboxStatus::kCrashed;
-    out.error = "child killed by signal " + std::to_string(sig) +
-                (name != nullptr ? std::string(" (") + name + ")" : "");
-    return out;
+  if (killed) {
+    const CancelReason r = ctl.cancel->reason();
+    throw Cancelled(r, std::string("cancelled (") + cancel_reason_name(r) +
+                           ") — child killed");
   }
-  const int code = WIFEXITED(st) ? WEXITSTATUS(st) : -1;
-  if (code == 0 && !out.row_line.empty()) {
-    out.status = SandboxStatus::kOk;
-    out.error.clear();
-    return out;
-  }
-  if (code == 3) {
-    out.status = SandboxStatus::kOom;
-    if (out.error.empty()) out.error = "address-space limit reached (mem_limit)";
-    return out;
-  }
-  out.status = SandboxStatus::kFailed;
-  if (out.error.empty()) {
-    out.error = code == 0 ? "child exited without a result row"
-                          : "child exited with status " + std::to_string(code);
-  }
-  return out;
-}
-
-}  // namespace
-
-const char* sandbox_status_name(SandboxStatus s) noexcept {
-  switch (s) {
-    case SandboxStatus::kOk: return "ok";
-    case SandboxStatus::kFailed: return "failed";
-    case SandboxStatus::kCrashed: return "crashed";
-    case SandboxStatus::kOom: return "oom";
-    case SandboxStatus::kWatchdog: return "watchdog";
-    case SandboxStatus::kTimeout: return "timeout";
-    case SandboxStatus::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
-
-SandboxResult run_sandboxed(const SandboxJob& job, const SandboxOptions& opts,
-                            const std::function<void(const std::string&)>& on_event) {
-  SandboxResult res;
-  const std::string label = job.arch + "/" + job.bench;
-  for (unsigned attempt = 0;; ++attempt) {
-    if (opts.cancel != nullptr && opts.cancel->requested()) {
-      res.status = SandboxStatus::kCancelled;
-      res.error = "cancelled before start";
-      return res;
-    }
-    const AttemptOutcome a = run_attempt(job, opts, attempt + 1, on_event);
-    res.attempts = attempt + 1;
-    res.status = a.status;
-    res.error = a.error;
-    res.row_line = a.row_line;
-    if (a.killed) ++res.kills;
-    if (a.status == SandboxStatus::kCrashed || a.status == SandboxStatus::kOom) {
-      ++res.crashes;
-    }
-    switch (a.status) {
-      case SandboxStatus::kOk:
-      case SandboxStatus::kCancelled:
-      case SandboxStatus::kWatchdog:  // a livelocked run would livelock again
-      case SandboxStatus::kTimeout:
-        return res;
-      default:
-        break;
-    }
-    if (attempt >= opts.retries) return res;
-    // Same deterministic pacing as the thread supervisor's retries.
-    const std::int64_t deadline =
-        now_ms() + static_cast<std::int64_t>(
-                       sim::retry_backoff_seconds(opts.retry_backoff_s, label, attempt) *
-                       1000.0);
-    while (now_ms() < deadline) {
-      if (opts.cancel != nullptr && opts.cancel->requested()) {
-        res.status = SandboxStatus::kCancelled;
-        res.error = "cancelled during retry backoff";
-        return res;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-}
-
-std::string telemetry_event_json(const std::string& arch, const std::string& bench,
-                                 const Telemetry& tel, std::size_t frame) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  w.key("event").value("telemetry");
-  w.key("arch").value(arch);
-  w.key("benchmark").value(bench);
-  w.key("cycle").value(static_cast<std::uint64_t>(tel.frame_cycle(frame)));
-  w.key("counters").begin_object();
-  for (std::size_t k = 0; k < tel.track_count(); ++k) {
-    if (!tel.track_is_counter(k)) continue;
-    const auto& s = tel.track_samples(k);
-    const double prev = frame > 0 ? s[frame - 1] : 0.0;
-    w.key(tel.track_name(k)).value(s[frame] - prev);
-  }
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (std::size_t k = 0; k < tel.track_count(); ++k) {
-    if (tel.track_is_counter(k)) continue;
-    w.key(tel.track_name(k)).value(tel.track_samples(k)[frame]);
-  }
-  w.end_object();
-  w.end_object();
-  return os.str();
+  if (WIFEXITED(st) && WEXITSTATUS(st) == 0 && !row.empty()) return row;
+  throw_child_failure(st, error, counters);
 }
 
 }  // namespace sttgpu::serve

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -25,7 +24,6 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
-#include "common/telemetry.hpp"
 #include "serve/fair_queue.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
@@ -58,19 +56,16 @@ std::vector<std::string> split_csv(const std::string& s) {
 
 int close_quiet(int fd) noexcept { return fd >= 0 ? ::close(fd) : 0; }
 
-/// Fairness identity of a connection. Unix-socket peers are keyed by
-/// SO_PEERCRED (uid + pid: one greedy *process* cannot starve the rest);
-/// loopback TCP peers carry no credentials and share one lane.
-std::string peer_identity(int fd, bool is_tcp) {
-  if (!is_tcp) {
-    ucred cred{};
-    socklen_t len = sizeof cred;
-    if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &len) == 0 &&
-        len == sizeof cred) {
-      return "uid:" + std::to_string(cred.uid) + "/pid:" + std::to_string(cred.pid);
-    }
+/// Fairness identity of a connection, keyed by SO_PEERCRED (uid + pid: one
+/// greedy *process* cannot starve the rest).
+std::string peer_identity(int fd) {
+  ucred cred{};
+  socklen_t len = sizeof cred;
+  if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &len) == 0 &&
+      len == sizeof cred) {
+    return "uid:" + std::to_string(cred.uid) + "/pid:" + std::to_string(cred.pid);
   }
-  return "tcp:loopback";
+  return "peer:unknown";
 }
 
 /// Deterministic JSON of a validated knob set (sorted keys, string values) —
@@ -93,13 +88,7 @@ struct SweepServer::Impl {
   /// Shared by every submission that wants the row; simulated exactly once.
   struct Task {
     std::string key;  ///< store_key — the dedupe identity
-    sim::Architecture arch_id{};
-    std::string arch;
-    std::string bench;
-    std::uint64_t fp = 0;
-    sim::RunOptions base;  ///< scale + simulation-shaping knobs, no hooks
-    bool want_telemetry = false;
-    Cycle interval = 50000;
+    SandboxJob job;   ///< what the forked child simulates
     CancelToken token;                    ///< supervisor external source
     std::vector<std::uint64_t> waiters;   ///< submission ids awaiting the row
   };
@@ -128,7 +117,6 @@ struct SweepServer::Impl {
   std::unique_ptr<store::ResultStore> store;
   std::unique_ptr<Journal> journal;
   int unix_fd = -1;
-  int tcp_fd = -1;
   unsigned workers = 1;
   std::chrono::steady_clock::time_point started_at;
 
@@ -169,7 +157,7 @@ struct SweepServer::Impl {
     if (opts.log) opts.log("[serve] " + line);
   }
 
-  // --- listeners -----------------------------------------------------------
+  // --- listener ------------------------------------------------------------
 
   void bind_unix() {
     sockaddr_un addr{};
@@ -209,25 +197,6 @@ struct SweepServer::Impl {
     }
   }
 
-  void bind_tcp() {
-    tcp_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcp_fd < 0) throw BindError(std::string("socket: ") + std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(tcp_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // never a public listener
-    addr.sin_port = htons(static_cast<std::uint16_t>(opts.tcp_port));
-    if (::bind(tcp_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(tcp_fd, 16) != 0) {
-      const std::string why = std::strerror(errno);
-      close_quiet(tcp_fd);
-      tcp_fd = -1;
-      throw BindError("cannot listen on loopback port " + std::to_string(opts.tcp_port) +
-                      ": " + why);
-    }
-  }
-
   // --- event plumbing (mu held) --------------------------------------------
 
   void append_event_locked(Submission& sub, const std::string& line) {
@@ -242,8 +211,8 @@ struct SweepServer::Impl {
     JsonWriter w(os);
     w.begin_object();
     w.key("event").value(event);
-    w.key("arch").value(t.arch);
-    w.key("benchmark").value(t.bench);
+    w.key("arch").value(t.job.arch);
+    w.key("benchmark").value(t.job.bench);
     if (status != nullptr) w.key("status").value(status);
     if (!detail_key.empty()) w.key(detail_key).value(detail);
     w.end_object();
@@ -333,7 +302,7 @@ struct SweepServer::Impl {
         sub.touched_store = true;
         append_event_locked(
             sub, task_event("done", *t, status, "row",
-                            store::encode_put(t->fp, sub.scale17, *row)));
+                            store::encode_put(t->job.fp, sub.scale17, *row)));
       } else {
         ++sub.failed;
         append_event_locked(sub, task_event("failed", *t, status, "error", error));
@@ -357,7 +326,8 @@ struct SweepServer::Impl {
   }
 
   void run_task(const std::shared_ptr<Task>& t) {
-    // One supervised job per task: the per-task token is the supervisor's
+    // One supervised job per task, whose every attempt is a forked sandbox
+    // child (serve/sandbox.hpp): the per-task token is the supervisor's
     // external cancellation source, so the `cancel` verb, the watchdog, the
     // per-job timeout, and retry/backoff are the matrix runner's own
     // semantics. keep_going: the outcome is recorded per task; a failing
@@ -369,36 +339,35 @@ struct SweepServer::Impl {
     sup.retries = opts.retries;
     sup.keep_going = true;
 
+    SandboxOptions so;
+    so.mem_limit_bytes = opts.mem_limit_bytes;
+
+    SandboxCounters children;
     std::optional<store::ResultRow> row;
-    sim::Job job;
-    job.label = t->arch + "/" + t->bench;
-    job.supervised = [this, &t, &row](const sim::JobControl& ctl) {
-      sim::RunOptions ro = t->base;
-      ro.cancel = ctl.cancel;
-      ro.heartbeat = ctl.heartbeat;
-      std::unique_ptr<Telemetry> tel;
-      if (t->want_telemetry) {
-        tel = std::make_unique<Telemetry>(t->interval);
-        tel->set_on_frame([this, &t](const Telemetry& T, std::size_t frame) {
-          fan_out_event(*t, telemetry_event_json(t->arch, t->bench, T, frame));
-        });
-        ro.telemetry = tel.get();
+    std::vector<sim::Job> jobs(1);
+    jobs[0].label = t->job.arch + "/" + t->job.bench;
+    jobs[0].supervised = [&](const sim::JobControl& ctl) {
+      const std::string line = run_sandboxed(
+          t->job, so, ctl, children, [this, &t](const std::string& event) {
+            fan_out_event(*t, event);
+          });
+      // The row crossed the pipe as the store's own put-record line;
+      // decoding and re-putting it is byte-exact by the record codec's
+      // round-trip contract, so sandboxed rows match direct-run rows.
+      const auto rec = store::decode_put(line);
+      if (!rec || rec->fingerprint != t->job.fp) {
+        throw SimError("sandbox returned an undecodable result row");
       }
-      const sim::Metrics m = sim::run_one(t->arch_id, t->bench, ro);
-      {
-        // Durable write-through before the row is announced; the critical
-        // section keeps a cooperative watchdog kill from landing between
-        // "simulated" and "persisted".
-        const sim::CriticalSection cs(ctl);
-        n_own_puts.fetch_add(1, std::memory_order_relaxed);
-        store->put(t->fp, t->base.scale, sim::to_store_row(m));
-      }
-      row = sim::to_store_row(m);
+      // Durable write-through before the row is announced.
+      n_own_puts.fetch_add(1, std::memory_order_relaxed);
+      store->put(t->job.fp, t->job.base.scale, rec->row);
+      row = rec->row;
     };
-    std::vector<sim::Job> jobs;
-    jobs.push_back(std::move(job));
     const sim::SupervisedResult res = sim::run_supervised(std::move(jobs), 1, sup);
     const sim::JobOutcome& o = res.outcomes.at(0);
+    n_child_kills.fetch_add(children.kills, std::memory_order_relaxed);
+    n_child_crashes.fetch_add(children.crashes, std::memory_order_relaxed);
+    if (o.attempts > 1) n_retries.fetch_add(o.attempts - 1, std::memory_order_relaxed);
 
     std::vector<ExportJob> exports;
     {
@@ -410,76 +379,6 @@ struct SweepServer::Impl {
         n_failed.fetch_add(1, std::memory_order_relaxed);
         exports =
             finish_task_locked(t, sim::job_status_name(o.status), o.error, nullptr);
-      }
-    }
-    for (const ExportJob& e : exports) export_csv(e.fp, e.scale, e.faults);
-  }
-
-  /// The process-isolated variant of run_task: the simulation runs in a
-  /// forked child (serve/sandbox.hpp); a crash, OOM, or wedge kills only the
-  /// child, which is reaped/retried and reported with a distinct status.
-  void run_task_sandboxed(const std::shared_ptr<Task>& t) {
-    SandboxJob job;
-    job.arch_id = t->arch_id;
-    job.arch = t->arch;
-    job.bench = t->bench;
-    job.fp = t->fp;
-    job.scale17 = store::scale_text(t->base.scale);
-    job.base = t->base;
-    job.want_telemetry = t->want_telemetry;
-    job.interval = t->interval;
-
-    SandboxOptions so;
-    so.watchdog_s = opts.watchdog_s;
-    so.job_timeout_s = opts.job_timeout_s;
-    so.retries = opts.retries;
-    so.mem_limit_bytes = opts.mem_limit_bytes;
-    so.cancel = &t->token;
-    so.in_child = [this] {
-      // An orphaned child must not keep the daemon's listeners open: a
-      // restarting daemon probes the stale socket file, and a held-open
-      // listener would read as "another server is alive".
-      close_quiet(unix_fd);
-      close_quiet(tcp_fd);
-    };
-
-    const SandboxResult res =
-        run_sandboxed(job, so, [this, t](const std::string& event) {
-          fan_out_event(*t, event);
-        });
-    n_child_kills.fetch_add(res.kills, std::memory_order_relaxed);
-    n_child_crashes.fetch_add(res.crashes, std::memory_order_relaxed);
-    if (res.attempts > 1) {
-      n_retries.fetch_add(res.attempts - 1, std::memory_order_relaxed);
-    }
-
-    // The row crossed the pipe as the store's own put-record line; decoding
-    // and re-putting it is byte-exact by the record codec's round-trip
-    // contract, so sandboxed rows match direct-run rows bit for bit.
-    std::optional<store::ResultRow> row;
-    std::string error = res.error;
-    const char* status = sandbox_status_name(res.status);
-    if (res.status == SandboxStatus::kOk) {
-      const auto rec = store::decode_put(res.row_line);
-      if (rec && rec->fingerprint == t->fp) {
-        n_own_puts.fetch_add(1, std::memory_order_relaxed);
-        store->put(t->fp, t->base.scale, rec->row);
-        row = rec->row;
-      } else {
-        status = "failed";
-        error = "sandbox returned an undecodable result row";
-      }
-    }
-
-    std::vector<ExportJob> exports;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      if (row) {
-        n_simulated.fetch_add(1, std::memory_order_relaxed);
-        exports = finish_task_locked(t, status, "", &*row);
-      } else {
-        n_failed.fetch_add(1, std::memory_order_relaxed);
-        exports = finish_task_locked(t, status, error, nullptr);
       }
     }
     for (const ExportJob& e : exports) export_csv(e.fp, e.scale, e.faults);
@@ -508,11 +407,7 @@ struct SweepServer::Impl {
           }
         }
       }
-      if (opts.sandbox) {
-        run_task_sandboxed(t);
-      } else {
-        run_task(t);
-      }
+      run_task(t);
     }
   }
 
@@ -657,13 +552,14 @@ struct SweepServer::Impl {
           }
           auto t = std::make_shared<Task>();
           t->key = key;
-          t->arch_id = a;
-          t->arch = arch_name;
-          t->bench = bench;
-          t->fp = fp;
-          t->base = base;
-          t->want_telemetry = want_telemetry;
-          t->interval = static_cast<Cycle>(interval);
+          t->job.arch_id = a;
+          t->job.arch = arch_name;
+          t->job.bench = bench;
+          t->job.fp = fp;
+          t->job.scale17 = scale17;
+          t->job.base = base;
+          t->job.want_telemetry = want_telemetry;
+          t->job.interval = static_cast<Cycle>(interval);
           t->waiters.push_back(out.id);
           inflight.emplace(key, t);
           queue.push(client, std::move(t));
@@ -766,7 +662,6 @@ struct SweepServer::Impl {
     s.child_crashes = n_child_crashes.load(std::memory_order_relaxed);
     s.task_retries = n_retries.load(std::memory_order_relaxed);
     s.replayed = n_replayed.load(std::memory_order_relaxed);
-    s.sandbox = opts.sandbox;
     s.uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                started_at)
                      .count();
@@ -793,7 +688,6 @@ struct SweepServer::Impl {
     w.key("health").begin_object();
     w.key("uptime_s").value(s.uptime_s);
     w.key("workers").value(s.workers);
-    w.key("sandbox").value(s.sandbox);
     w.key("queued").value(static_cast<std::uint64_t>(s.queued));
     w.key("inflight").value(static_cast<std::uint64_t>(s.inflight));
     w.key("connections").value(static_cast<std::uint64_t>(s.connections));
@@ -1104,34 +998,30 @@ struct SweepServer::Impl {
   }
 
   void accept_loop() {
-    std::vector<pollfd> fds;
-    if (unix_fd >= 0) fds.push_back({unix_fd, POLLIN, 0});
-    if (tcp_fd >= 0) fds.push_back({tcp_fd, POLLIN, 0});
     for (;;) {
       {
         std::lock_guard<std::mutex> lk(mu);
         if (stopping) return;
       }
       reap_conn_zombies();
-      const int n = ::poll(fds.data(), fds.size(), /*ms=*/200);
-      if (n <= 0) continue;  // timeout or EINTR: re-check stopping
-      for (const pollfd& p : fds) {
-        if ((p.revents & POLLIN) == 0) continue;
-        const int conn = ::accept(p.fd, nullptr, nullptr);
-        if (conn < 0) continue;
-        const std::string client = peer_identity(conn, p.fd == tcp_fd);
-        std::lock_guard<std::mutex> lk(mu);
-        if (stopping) {
-          close_quiet(conn);
-          continue;
-        }
-        conns.insert(conn);
-        const std::uint64_t token = next_conn_token++;
-        conn_live.emplace(token, std::thread([this, conn, client, token] {
-                            handle_connection(conn, client);
-                            finish_conn(token);
-                          }));
+      // Time out every 200 ms to re-check stopping; a poll error (EINTR,
+      // ENOMEM) is retried the same way rather than ending the daemon.
+      pollfd pfd{unix_fd, POLLIN, 0};
+      if (::poll(&pfd, 1, /*ms=*/200) <= 0) continue;
+      const int conn = ::accept(unix_fd, nullptr, nullptr);
+      if (conn < 0) continue;
+      const std::string client = peer_identity(conn);
+      std::lock_guard<std::mutex> lk(mu);
+      if (stopping) {
+        close_quiet(conn);
+        continue;
       }
+      conns.insert(conn);
+      const std::uint64_t token = next_conn_token++;
+      conn_live.emplace(token, std::thread([this, conn, client, token] {
+                          handle_connection(conn, client);
+                          finish_conn(token);
+                        }));
     }
   }
 };
@@ -1159,15 +1049,6 @@ SweepServer::SweepServer(ServerOptions opts) : impl_(std::make_unique<Impl>(std:
   s.next_id = s.journal->max_id() + 1;
 
   s.bind_unix();
-  if (s.opts.tcp_port > 0) {
-    try {
-      s.bind_tcp();
-    } catch (...) {
-      close_quiet(s.unix_fd);
-      ::unlink(s.opts.socket_path.c_str());
-      throw;
-    }
-  }
 }
 
 SweepServer::~SweepServer() {
@@ -1191,9 +1072,8 @@ void SweepServer::start() {
   for (unsigned i = 0; i < s.workers; ++i) {
     s.worker_threads.emplace_back([&s] { s.worker_loop(); });
   }
-  s.say("listening on " + s.opts.socket_path +
-        (s.tcp_fd >= 0 ? " and 127.0.0.1:" + std::to_string(s.opts.tcp_port) : "") +
-        " (" + std::to_string(s.workers) + " worker" + (s.workers == 1 ? "" : "s") +
+  s.say("listening on " + s.opts.socket_path + " (" + std::to_string(s.workers) +
+        " worker" + (s.workers == 1 ? "" : "s") +
         ", store " + s.store->path() + ")");
 }
 
@@ -1209,7 +1089,6 @@ void SweepServer::stop() {
   s.cv_events.notify_all();
   if (s.accept_thread.joinable()) s.accept_thread.join();
   close_quiet(s.unix_fd);
-  close_quiet(s.tcp_fd);
   ::unlink(s.opts.socket_path.c_str());
   // Drain: workers finish every queued and running task (completing their
   // submissions and publishing CSV exports) before exiting.

@@ -1,10 +1,10 @@
 // The sweep service daemon: a persistent `sttgpu serve` process that turns
 // the Fig. 8 result store into a shared simulation service.
 //
-// Clients connect over a unix socket (optionally loopback TCP) and speak
-// the length-framed JSON protocol (serve/protocol.hpp). Every submission —
-// a RunOptions-shaped config plus an (archs x benchmarks) slice — is
-// deduplicated three ways before any cycle is simulated:
+// Clients connect over a unix socket and speak the length-framed JSON
+// protocol (serve/protocol.hpp). Every submission — a RunOptions-shaped
+// config plus an (archs x benchmarks) slice — is deduplicated three ways
+// before any cycle is simulated:
 //
 //   1. against the crash-safe WAL result store, keyed by
 //      (config fingerprint, scale, arch, benchmark): rows simulated by any
@@ -15,16 +15,17 @@
 //      is simulated exactly once;
 //   3. within a submission (a degenerate case of 2).
 //
-// Misses run on a persistent worker pool. With `sandbox` on (the default)
-// each simulation executes in a forked child (serve/sandbox.hpp): a run
-// that SIGSEGVs, OOMs against the `mem_limit` RLIMIT_AS, or wedges is
-// SIGKILLed/reaped with the PR-5 supervisor's heartbeat-watchdog, timeout
-// and retry/backoff semantics, reported as a distinct `failed` watch event,
-// and the daemon keeps serving everyone else. Rows travel back over the
-// pipe as the store's own put-record lines, so sandboxed results are
-// byte-identical to in-process and direct-matrix runs. sandbox=0 keeps the
-// original in-process supervised path. The CSV export is regenerated with
-// the exact refresh + rows_for + save_cache sequence run_matrix uses.
+// Misses run on a persistent worker pool. Each task is one supervised job
+// (sim/supervisor.hpp) whose every attempt simulates in a forked child
+// (serve/sandbox.hpp): the supervisor's watchdog, job_timeout, retry/backoff
+// and cancellation apply as they do to a matrix run, and a run that
+// SIGSEGVs, OOMs against the `mem_limit` RLIMIT_AS, or wedges kills only its
+// child. It is reported as a `failed` watch event, whose error text says
+// what happened, and counted in `health`; the daemon keeps serving everyone
+// else. Rows travel back over the pipe as the store's own put-record lines,
+// so they are byte-identical to direct-matrix runs. The CSV export is
+// regenerated with the exact refresh + rows_for + save_cache sequence
+// run_matrix uses.
 //
 // Admission control: the task queue is capacity-bound (`max_queue`) with
 // per-client round-robin fairness keyed on peer identity (SO_PEERCRED for
@@ -61,8 +62,6 @@ namespace sttgpu::serve {
 
 struct ServerOptions {
   std::string socket_path = "sttgpu.sock";
-  /// >0: additionally listen on this loopback TCP port.
-  int tcp_port = 0;
   /// CSV export path; the WAL store lives at the derived "<cache>.store".
   std::string cache_path = "fig8_cache.csv";
   /// Worker threads simulating tasks (0 = hardware concurrency).
@@ -71,11 +70,7 @@ struct ServerOptions {
   double watchdog_s = 0.0;
   double job_timeout_s = 0.0;
   unsigned retries = 0;
-  /// Run each simulation in a forked sandbox child (serve/sandbox.hpp) so a
-  /// crashing/OOMing/wedged run never takes the daemon down. false = the
-  /// original in-process supervised path.
-  bool sandbox = true;
-  /// RLIMIT_AS for sandbox children, in bytes (0 = unlimited).
+  /// RLIMIT_AS for each task's forked child, in bytes (0 = unlimited).
   std::uint64_t mem_limit_bytes = 0;
   /// Admission control: total queued tasks a submission may not push past
   /// (0 = unbounded). Overflowing submissions are shed with "overloaded".
@@ -113,15 +108,14 @@ struct ServerStats {
   std::size_t inflight = 0;            ///< unique configs queued or running
   std::size_t connections = 0;         ///< live connection handler threads
   double uptime_s = 0.0;
-  bool sandbox = false;
 };
 
 class SweepServer {
  public:
-  /// Binds the unix socket (and the TCP port when requested) and opens the
-  /// result store. Throws BindError when a listener cannot be established —
-  /// including when another live server already owns the socket path; a
-  /// stale socket file left by a dead server is reclaimed silently.
+  /// Binds the unix socket and opens the result store. Throws BindError when
+  /// the listener cannot be established — including when another live
+  /// server already owns the socket path; a stale socket file left by a
+  /// dead server is reclaimed silently.
   explicit SweepServer(ServerOptions opts);
 
   /// stop()s if still running.

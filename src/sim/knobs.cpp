@@ -80,12 +80,9 @@ const std::vector<KnobSpec>& knob_registry() {
       {"keep_going", Type::kBool, "0",
        "quarantine failing jobs and report a manifest instead of failing fast",
        kKnobMatrix},
-      {"sandbox", Type::kBool, "1",
-       "run each simulation in a forked child so a crash/OOM/wedge never takes "
-       "the daemon down (0 = in-process)",
-       kKnobServe},
       {"mem_limit", Type::kInt, "0",
-       "address-space limit per sandbox child, in MiB (0 = unlimited)", kKnobServe},
+       "address-space limit per forked simulation child, in MiB (0 = unlimited)",
+       kKnobServe},
       {"max_queue", Type::kInt, "1024",
        "admission control: shed submissions that would push the task queue past "
        "this depth (0 = unbounded)",
@@ -99,10 +96,6 @@ const std::vector<KnobSpec>& knob_registry() {
        kKnobStore},
       {"socket", Type::kString, "sttgpu.sock",
        "unix socket the sweep service listens on / clients connect to",
-       kKnobServe | kClientVerbs},
-      {"port", Type::kInt, "0",
-       "loopback TCP port (serve: also listen; clients: connect via TCP instead "
-       "of the unix socket; 0 = unix socket only)",
        kKnobServe | kClientVerbs},
       {"archs", Type::kString, "",
        "comma-separated architecture subset to submit (empty = all)", kKnobSubmit},
@@ -203,7 +196,7 @@ std::string knob_usage() {
   os << "usage: sttgpu <list|run|matrix|record|replay|store|serve|submit|status|"
         "watch|cancel|result|health|help> [key=value ...]\n"
         "       sttgpu store <fsck|compact|stats> [store=<path>]\n"
-        "       sttgpu serve socket=<path> [port=<tcp>] [cache=<csv>] [jobs=N]\n";
+        "       sttgpu serve socket=<path> [cache=<csv>] [jobs=N]\n";
   for (const KnobCommand cmd :
        {kKnobRun, kKnobMatrix, kKnobRecord, kKnobReplay, kKnobStore, kKnobServe,
         kKnobSubmit, kKnobStatus, kKnobWatch, kKnobCancel, kKnobResult, kKnobHealth}) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "common/error.hpp"
@@ -91,6 +93,17 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// Retry pacing: base * 2^attempt capped at 30 s, stretched by up to +50% of
+/// deterministic per-(label, attempt) jitter so a fleet of flaky jobs never
+/// retries in lockstep yet paces identically on every rerun.
+double retry_backoff_seconds(double base_s, const std::string& label, unsigned attempt) {
+  double delay = base_s * std::pow(2.0, static_cast<double>(attempt));
+  delay = std::min(delay, 30.0);
+  const std::uint64_t h =
+      fnv1a(label) ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(attempt + 1));
+  return delay * (1.0 + 0.5 * static_cast<double>(h % 1024) / 1024.0);
+}
+
 /// Interruptible sleep: returns early (false) if the external token fires.
 bool backoff_sleep(const SupervisorOptions& opts, const std::string& label,
                    unsigned attempt) {
@@ -116,14 +129,6 @@ struct Slot {
 };
 
 }  // namespace
-
-double retry_backoff_seconds(double base_s, const std::string& label, unsigned attempt) {
-  double delay = base_s * std::pow(2.0, static_cast<double>(attempt));
-  delay = std::min(delay, 30.0);
-  const std::uint64_t h =
-      fnv1a(label) ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(attempt + 1));
-  return delay * (1.0 + 0.5 * static_cast<double>(h % 1024) / 1024.0);
-}
 
 SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
                                 const SupervisorOptions& opts) {
@@ -210,15 +215,23 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
   // n_threads == 1.
   const bool need_monitor =
       opts.external != nullptr || opts.watchdog_s > 0.0 || opts.job_timeout_s > 0.0;
-  std::atomic<bool> monitor_quit{false};
+  // The monitor ticks every 10 ms but wakes at once when the jobs finish, so
+  // a job shorter than one tick is not held to the tick.
+  std::mutex monitor_mu;
+  std::condition_variable monitor_wake;
+  bool monitor_parked = false;
+  bool monitor_quit = false;
   std::thread monitor;
   if (need_monitor) {
     monitor = std::thread([&]() {
       const auto watchdog_ms = static_cast<std::int64_t>(opts.watchdog_s * 1000.0);
       const auto timeout_ms = static_cast<std::int64_t>(opts.job_timeout_s * 1000.0);
       bool forwarded = false;
-      while (!monitor_quit.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      std::unique_lock<std::mutex> lk(monitor_mu);
+      monitor_parked = true;
+      monitor_wake.notify_one();
+      while (!monitor_wake.wait_for(lk, std::chrono::milliseconds(10),
+                                    [&] { return monitor_quit; })) {
         const std::int64_t t = now_ms();
         if (!forwarded && externally_cancelled()) {
           stop.store(true, std::memory_order_relaxed);
@@ -249,6 +262,13 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
         }
       }
     });
+    // No job of this call starts before its monitor is parked in its wait.
+    // A job may fork() (the serve sandbox does), and a child forked while
+    // another thread is still starting can inherit a lock that thread held:
+    // the sanitizers' allocator locks are not fork-safe, and such children
+    // deadlocked. Forks made by other threads are not ordered by this.
+    std::unique_lock<std::mutex> lk(monitor_mu);
+    monitor_wake.wait(lk, [&] { return monitor_parked; });
   }
 
   if (n_threads <= 1) {
@@ -261,7 +281,11 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
     for (std::thread& t : pool) t.join();
   }
 
-  monitor_quit.store(true, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lk(monitor_mu);
+    monitor_quit = true;
+  }
+  monitor_wake.notify_one();
   if (monitor.joinable()) monitor.join();
 
   result.interrupted = externally_cancelled();

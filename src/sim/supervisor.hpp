@@ -100,12 +100,6 @@ struct SupervisedResult {
   std::string manifest() const;
 };
 
-/// Retry pacing shared by the thread supervisor and the serve sandbox:
-/// base * 2^attempt capped at 30 s, stretched by up to +50% of deterministic
-/// per-(label, attempt) jitter so a fleet of flaky jobs never retries in
-/// lockstep yet paces identically on every rerun.
-double retry_backoff_seconds(double base_s, const std::string& label, unsigned attempt);
-
 /// Runs @p jobs under supervision. Never throws for job failures — every
 /// terminal state is reported in the result (callers decide whether to
 /// throw; see throw_on_failures).

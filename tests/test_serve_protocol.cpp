@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -12,6 +13,7 @@
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "serve/client.hpp"
 #include "sim/knobs.hpp"
 
 namespace sttgpu::serve {
@@ -77,15 +79,20 @@ TEST(Framing, RejectsTornFrame) {
   EXPECT_THROW(read_frame(s.fd[1]), SimError);
 }
 
+/// `{"protocol_version":<current>` followed by @p rest.
+std::string current_version_json(const std::string& rest) {
+  return R"({"protocol_version":)" + std::to_string(kProtocolVersion) + rest;
+}
+
 TEST(Envelope, RequireVersionAcceptsCurrentOnly) {
-  require_version(parse_json(R"({"protocol_version":1,"verb":"status"})"));
+  require_version(parse_json(current_version_json(R"(,"verb":"status"})")));
   EXPECT_THROW(require_version(parse_json(R"({"verb":"status"})")), ProtocolMismatch);
   EXPECT_THROW(require_version(parse_json(R"({"protocol_version":99})")),
                ProtocolMismatch);
 }
 
 TEST(Envelope, CheckResponseMapsErrorKinds) {
-  check_response(parse_json(R"({"protocol_version":1,"ok":true})"));
+  check_response(parse_json(current_version_json(R"(,"ok":true})")));
   // A generic server error surfaces as SimError with the server's message.
   try {
     check_response(parse_json(error_response("boom")));
@@ -98,6 +105,28 @@ TEST(Envelope, CheckResponseMapsErrorKinds) {
   // kind=="protocol" maps to ProtocolMismatch (CLI exit code 7).
   EXPECT_THROW(check_response(parse_json(error_response("bad version", true))),
                ProtocolMismatch);
+}
+
+// --- client connect ---------------------------------------------------------
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ClientConnect, RejectedConnectsLeakNoDescriptor) {
+  const std::string too_long(200, 'x');  // longer than sockaddr_un::sun_path
+  const std::string nobody = "/nonexistent-sttgpu-dir/s.sock";
+  const std::size_t before = open_fd_count();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_THROW(Client::connect(too_long), SimError);
+    EXPECT_THROW(Client::connect(nobody), SimError);
+  }
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 // --- the RunOptions <-> JSON satellite (sim/knobs.hpp) ----------------------

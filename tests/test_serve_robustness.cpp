@@ -68,6 +68,20 @@ struct FaultEnv {
   ~FaultEnv() { ::unsetenv("STTGPU_SANDBOX_FAULT"); }
 };
 
+bool sanitized() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#else
+  return false;
+#endif
+#else
+  return false;
+#endif
+}
+
 /// Raw unix-socket connection, for speaking *broken* protocol on purpose.
 struct RawConn {
   int fd = -1;
@@ -251,7 +265,6 @@ TEST_F(RobustServeTest, HealthVerbReportsTheRobustnessCounters) {
   ASSERT_TRUE(resp.at("ok").as_bool());
   const JsonValue& h = resp.at("health");
   EXPECT_GE(h.at("uptime_s").as_double(), 0.0);
-  EXPECT_TRUE(h.at("sandbox").as_bool());
   EXPECT_EQ(h.at("queued").as_int(), 0);
   EXPECT_EQ(h.at("inflight").as_int(), 0);
   EXPECT_EQ(h.at("shed").as_int(), 0);
@@ -266,16 +279,84 @@ TEST_F(RobustServeTest, CrashingChildIsQuarantinedOthersUnaffected) {
   const FaultEnv env("C1/bfs=abort");
   StartServer(ServerOptions{});
   const JsonValue resp = connect().request(submit_request("C1,C2", "bfs"));
-  const JsonValue final_event =
-      connect().stream(verb_request("watch", resp.at("id").as_int()),
-                       [](const std::string&, const JsonValue&) {});
+  std::string failed_status, failed_error;
+  const JsonValue final_event = connect().stream(
+      verb_request("watch", resp.at("id").as_int()),
+      [&](const std::string&, const JsonValue& ev) {
+        if (ev.at("event").as_string() != "failed") return;
+        failed_status = ev.at("status").as_string();
+        failed_error = ev.at("error").as_string();
+      });
   EXPECT_EQ(final_event.at("state").as_string(), "failed");
   EXPECT_EQ(final_event.at("failed").as_int(), 1);    // C1/bfs crashed
   EXPECT_EQ(final_event.at("simulated").as_int(), 1);  // C2/bfs finished
+  // The status is the supervisor's; what happened is in the error text.
+  EXPECT_EQ(failed_status, "failed");
+  EXPECT_NE(failed_error.find("signal"), std::string::npos) << failed_error;
   const ServerStats s = server_->stats();
   EXPECT_EQ(s.child_crashes, 1u);
   EXPECT_EQ(s.tasks_failed, 1u);
   EXPECT_EQ(s.tasks_simulated, 1u);
+  ExpectServerAlive();
+}
+
+TEST_F(RobustServeTest, WatchdogKillsAWedgedChildOthersUnaffected) {
+  const FaultEnv env("C1/bfs=hang");
+  ServerOptions so;
+  // The healthy C2/bfs child must finish inside the watchdog: ~5 ms in plain
+  // builds, ~70 ms under ASan, and ~0.3 s under TSan.
+  so.watchdog_s = sanitized() ? 2.0 : 0.3;
+  so.retries = 2;  // must be ignored: a wedged run would wedge again
+  StartServer(std::move(so));
+  const JsonValue resp = connect().request(submit_request("C1,C2", "bfs"));
+  std::string failed_status;
+  const JsonValue final_event = connect().stream(
+      verb_request("watch", resp.at("id").as_int()),
+      [&failed_status](const std::string&, const JsonValue& ev) {
+        if (ev.at("event").as_string() == "failed") {
+          failed_status = ev.at("status").as_string();
+        }
+      });
+  EXPECT_EQ(final_event.at("failed").as_int(), 1);     // C1/bfs wedged
+  EXPECT_EQ(final_event.at("simulated").as_int(), 1);  // C2/bfs finished
+  EXPECT_EQ(failed_status, "watchdog");
+  const ServerStats s = server_->stats();
+  EXPECT_EQ(s.child_kills, 1u);
+  EXPECT_EQ(s.task_retries, 0u);
+  ExpectServerAlive();
+}
+
+TEST_F(RobustServeTest, WedgedChildDoesNotStallTheOtherWorker) {
+  // Two workers: one sits on the wedged C1/bfs child until the watchdog
+  // kills it, the other runs the healthy tasks meanwhile. Each healthy
+  // attempt must end on its own row line. An attempt that waited for EOF
+  // instead could be held by the wedged child, forked while the attempt's
+  // pipe was open, until the watchdog fired.
+  const FaultEnv env("C1/bfs=hang");
+  ServerOptions so;
+  so.jobs = 2;
+  // The two healthy children take ~10 ms together in plain builds, ~0.15 s
+  // under ASan and ~0.6 s under TSan.
+  so.watchdog_s = sanitized() ? 4.0 : 1.0;
+  StartServer(std::move(so));
+  const JsonValue resp = connect().request(submit_request("C1,C2,C3", "bfs"));
+  std::vector<std::string> order;
+  const JsonValue final_event = connect().stream(
+      verb_request("watch", resp.at("id").as_int()),
+      [&order](const std::string&, const JsonValue& ev) {
+        const std::string kind = ev.at("event").as_string();
+        if (kind == "done" || kind == "failed") {
+          order.push_back(kind + ":" + ev.at("status").as_string());
+        }
+      });
+  EXPECT_EQ(final_event.at("failed").as_int(), 1);     // C1/bfs wedged
+  EXPECT_EQ(final_event.at("simulated").as_int(), 2);  // C2/bfs, C3/bfs
+  // Both healthy rows land before the wedged child is killed.
+  const std::vector<std::string> want = {"done:ok", "done:ok", "failed:watchdog"};
+  EXPECT_EQ(order, want);
+  const ServerStats s = server_->stats();
+  EXPECT_EQ(s.child_kills, 1u);
+  EXPECT_EQ(s.task_retries, 0u);
   ExpectServerAlive();
 }
 

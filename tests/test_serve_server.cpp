@@ -173,8 +173,8 @@ TEST_F(ServeTest, RejectsProtocolMismatchAndUnknownKnobs) {
       connect().request(R"({"protocol_version":99,"verb":"status","id":0})"),
       ProtocolMismatch);
   try {
-    connect().request(
-        R"({"protocol_version":1,"verb":"submit","options":{"scail":0.5}})");
+    connect().request(R"({"protocol_version":)" + std::to_string(kProtocolVersion) +
+                      R"(,"verb":"submit","options":{"scail":0.5}})");
     FAIL() << "expected SimError";
   } catch (const ProtocolMismatch&) {
     FAIL() << "a bad knob is a normal error, not a protocol mismatch";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -267,6 +268,30 @@ TEST(Supervisor, WatchdogKillIsNotRetried) {
   const SupervisedResult r = run_supervised(std::move(jobs), 2, opts);
   EXPECT_EQ(calls.load(), 1);  // a livelocked job would livelock again
   EXPECT_EQ(r.outcomes[0].status, JobStatus::kWatchdog);
+}
+
+TEST(Supervisor, MonitorWakesWhenAShortJobFinishes) {
+  // An external token starts the monitor thread beside the job. The run must
+  // end when the job does, not when the monitor's next 10 ms tick comes due:
+  // a 3 ms job returns in ~3 ms. Best of five, so one descheduled run cannot
+  // fail the test.
+  CancelToken cancel;
+  double best_ms = 1e9;
+  for (int i = 0; i < 5; ++i) {
+    std::vector<Job> jobs;
+    jobs.push_back(supervised_job("short", [](const JobControl&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }));
+    SupervisorOptions opts;
+    opts.external = &cancel;
+    const auto t0 = std::chrono::steady_clock::now();
+    const SupervisedResult r = run_supervised(std::move(jobs), 1, opts);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    ASSERT_TRUE(r.all_ok());
+    best_ms = std::min(best_ms, took.count());
+  }
+  EXPECT_LT(best_ms, 7.0) << "a monitor sleeping out its tick takes >= 10 ms";
 }
 
 TEST(Supervisor, BackoffIsDeterministicPerLabelAndAttempt) {

@@ -28,19 +28,20 @@
 //       `compact` rewrites the log down to live records; `stats` prints the
 //       index/log/quarantine summary.
 //
-//   sttgpu serve [socket=sttgpu.sock] [port=<tcp>] [cache=fig8_cache.csv]
-//               [jobs=N] [watchdog=<s>] [job_timeout=<s>] [retry=<n>]
-//               [sandbox=1] [mem_limit=<MiB>] [max_queue=N] [read_deadline=<s>]
+//   sttgpu serve [socket=sttgpu.sock] [cache=fig8_cache.csv] [jobs=N]
+//               [watchdog=<s>] [job_timeout=<s>] [retry=<n>] [mem_limit=<MiB>]
+//               [max_queue=N] [read_deadline=<s>]
 //       Run the sweep-service daemon: submissions from the client verbs
 //       below are deduplicated against the result store and against each
 //       other before anything simulates, misses run on a supervised worker
 //       pool, and the CSV export is kept byte-identical to a direct matrix
-//       run. With sandbox=1 (default) each simulation runs in a forked child
-//       — a crash, OOM (against mem_limit=) or wedge is reaped and retried/
-//       reported without taking the daemon down. Submissions that would push
-//       the queue past max_queue= are shed with a structured "overloaded"
-//       error carrying a retry_after_ms hint; connections that send no
-//       request within read_deadline= seconds are dropped. Acknowledged
+//       run. Each simulation runs in a forked child under the matrix
+//       runner's supervisor — a crash, OOM (against mem_limit=) or wedge is
+//       reaped and retried/reported without taking the daemon down.
+//       Submissions that would push the queue past max_queue= are shed with
+//       a structured "overloaded" error carrying a retry_after_ms hint;
+//       connections that send no request within read_deadline= seconds are
+//       dropped. Acknowledged
 //       submissions are journaled next to the store ("<cache>.journal") and
 //       replayed after a crash — even SIGKILL loses no accepted work.
 //       SIGINT/SIGTERM drains gracefully (in-flight work finishes and is
@@ -69,7 +70,7 @@
 //      the same cache= to resume
 //   4  a job was killed by the watchdog or per-job timeout
 //   5  store fsck: quarantined data awaiting acknowledgement
-//   6  serve: cannot bind/listen on the requested socket or port
+//   6  serve: cannot bind/listen on the requested socket
 //   7  client/server protocol version mismatch
 //   8  submission shed by admission control (retries exhausted)
 //   9  serve: the submission journal is unusable
@@ -422,7 +423,6 @@ int cmd_serve(const Config& cfg) {
   sim::validate_knobs(cfg, kCmd, "serve");
   serve::ServerOptions so;
   so.socket_path = sim::knob_string(cfg, kCmd, "socket");
-  so.tcp_port = static_cast<int>(sim::knob_int(cfg, kCmd, "port"));
   so.cache_path = sim::knob_string(cfg, kCmd, "cache");
   so.jobs = sim::resolve_jobs(sim::knob_int(cfg, kCmd, "jobs"));
   so.watchdog_s = sim::knob_double(cfg, kCmd, "watchdog");
@@ -432,7 +432,6 @@ int cmd_serve(const Config& cfg) {
   const std::int64_t retries = sim::knob_int(cfg, kCmd, "retry");
   STTGPU_REQUIRE(retries >= 0, "retry= must be >= 0");
   so.retries = static_cast<unsigned>(retries);
-  so.sandbox = sim::knob_bool(cfg, kCmd, "sandbox");
   const std::int64_t mem_limit = sim::knob_int(cfg, kCmd, "mem_limit");
   STTGPU_REQUIRE(mem_limit >= 0, "mem_limit= must be >= 0 MiB");
   so.mem_limit_bytes = static_cast<std::uint64_t>(mem_limit) << 20;
@@ -470,8 +469,7 @@ std::string client_request(const std::string& verb, const Config& cfg,
   if (id > 0) w.key("id").value(static_cast<std::int64_t>(id));
   w.key("options").begin_object();
   for (const auto& [key, value] : cfg.all()) {
-    if (key == "socket" || key == "port" || key == "wait" || key == "json" ||
-        key == "id") {
+    if (key == "socket" || key == "wait" || key == "json" || key == "id") {
       continue;
     }
     // Values travel as the raw key=value text the user typed; the server
@@ -484,8 +482,7 @@ std::string client_request(const std::string& verb, const Config& cfg,
 }
 
 serve::Client client_connect(const Config& cfg, sim::KnobCommand cmd) {
-  return serve::Client::connect(sim::knob_string(cfg, cmd, "socket"),
-                                static_cast<int>(sim::knob_int(cfg, cmd, "port")));
+  return serve::Client::connect(sim::knob_string(cfg, cmd, "socket"));
 }
 
 /// Decodes the "rows" array of a result/submit response (store "put ..."
@@ -683,8 +680,7 @@ int cmd_health(const Config& cfg) {
   up.precision(1);
   up << h.at("uptime_s").as_double();
   std::cout << "server: up " << up.str() << "s, " << h.at("workers").as_int()
-            << " worker" << (h.at("workers").as_int() == 1 ? "" : "s") << ", sandbox "
-            << (h.at("sandbox").as_bool() ? "on" : "off") << "\n"
+            << " worker" << (h.at("workers").as_int() == 1 ? "" : "s") << "\n"
             << "  queue        " << h.at("queued").as_int() << " waiting, "
             << h.at("inflight").as_int() << " in flight ("
             << h.at("connections").as_int() << " connection"
