@@ -48,6 +48,8 @@ class StreamStats {
 ///   Histogram h({10e3, 50e3, 100e3, 1e6, 2.5e6});  // ns edges
 class Histogram {
  public:
+  /// No buckets and no allocation: a placeholder that must not be add()ed to.
+  Histogram() = default;
   explicit Histogram(std::vector<double> upper_edges);
 
   void add(double value, std::uint64_t weight = 1) noexcept;

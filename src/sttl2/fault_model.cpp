@@ -54,7 +54,6 @@ FaultModel::FaultModel(const FaultInjectionConfig& config, double retention_s,
       retention_s_(retention_s > 0.0 ? retention_s : 1.0),
       clock_(clock),
       rng_(mix_seed(config.seed, stream_salt)),
-      lifetimes_(lifetime_edges_ns()),
       overflow_ns_(1e10) {
   if (retention_s <= 0.0) config_.enabled = false;  // SRAM: no retention physics
   if (config_.enabled) {
@@ -62,6 +61,7 @@ FaultModel::FaultModel(const FaultInjectionConfig& config, double retention_s,
     STTGPU_REQUIRE(config_.spec_margin >= 1.0, "FaultModel: spec margin must be >= 1");
     STTGPU_REQUIRE(config_.write_fail_prob >= 0.0 && config_.write_fail_prob <= 1.0,
                    "FaultModel: write_fail_prob must be a probability");
+    lifetimes_ = Histogram(lifetime_edges_ns());
   }
   thermal_life_s_ = retention_s_ * config_.spec_margin;
   write_fail_p_ = std::min(config_.write_fail_prob * std::max(config_.accel, 1.0), 1.0);

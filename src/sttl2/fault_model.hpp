@@ -102,7 +102,7 @@ class FaultModel {
 
   /// Every evaluated lifetime, in nanoseconds (fine geometric buckets, so
   /// analyze_reliability's bucket-midpoint assessment stays close to the
-  /// exact per-lifetime expectation).
+  /// exact per-lifetime expectation). A disabled model builds no buckets.
   const Histogram& lifetimes_ns() const noexcept { return lifetimes_; }
 
   /// Representative lifetime for the histogram's overflow bucket (pass as

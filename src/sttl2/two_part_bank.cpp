@@ -57,6 +57,8 @@ TwoPartBank::TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config,
       lr_data_(config.lr_subbanks),
       hr2lr_(config.buffer_lines),
       lr2hr_(config.buffer_lines),
+      refresh_q_(lr_tags_.geometry().num_sets(), lr_tags_.geometry().associativity()),
+      hr_expiry_q_(hr_tags_.geometry().num_sets(), hr_tags_.geometry().associativity()),
       lr_rewrites_(clock),
       hr_rewrites_(clock, {ms_to_ns(1.0), ms_to_ns(10.0), ms_to_ns(40.0), ms_to_ns(100.0)}),
       lr_wear_(lr_tags_.geometry().num_sets(), lr_tags_.geometry().associativity()),
@@ -138,9 +140,7 @@ Cycle TwoPartBank::impl_next_event() const {
   if (config_.lr_wear_leveling && lr_writes_since_rotation_ >= config_.wear_level_period) {
     return 0;
   }
-  Cycle next = kNoCycle;
-  if (!refresh_q_.empty() && refresh_q_.top().when < next) next = refresh_q_.top().when;
-  if (!hr_expiry_q_.empty() && hr_expiry_q_.top().when < next) next = hr_expiry_q_.top().when;
+  Cycle next = std::min(refresh_q_.next(), hr_expiry_q_.next());
   // The adaptation deadline must be an event even with nothing else going
   // on: adapt_threshold() reschedules relative to the cycle it runs at, so
   // firing late would shift every later interval.
@@ -229,14 +229,9 @@ bool TwoPartBank::fault_read_check(bool lr_part, Addr key, unsigned way, Cycle n
     ledger().add(e_.fault_scrub,
                  (lr_part ? lr_costs_ : hr_costs_).data_write_pj * write_energy_scale_);
     line.retention_deadline = rc.deadline(now);
-    if (lr_part) {
-      const Cycle due = rc.refresh_due(now);
-      refresh_q_.push({due, set, way, line.retention_deadline});
-      sched_impl_event(due);
-    } else {
-      hr_expiry_q_.push({line.retention_deadline, set, way, line.retention_deadline});
-      sched_impl_event(line.retention_deadline);
-    }
+    const Cycle due = lr_part ? rc.refresh_due(now) : line.retention_deadline;
+    (lr_part ? refresh_q_ : hr_expiry_q_).set(set, way, due);
+    sched_impl_event(due);
     return false;
   }
   if (!line.dirty) {
@@ -253,6 +248,7 @@ bool TwoPartBank::fault_read_check(bool lr_part, Addr key, unsigned way, Cycle n
     }
   }
   tags.invalidate(key, way);
+  (lr_part ? refresh_q_ : hr_expiry_q_).erase(set, way);
   return true;
 }
 
@@ -412,7 +408,7 @@ Cycle TwoPartBank::lr_write_hit(Addr lr_key, unsigned way, Cycle start) {
   line.last_write_cycle = start;
   line.retention_deadline = lr_retention_.deadline(start);
   const Cycle refresh_due = lr_retention_.refresh_due(start);
-  refresh_q_.push({refresh_due, set, way, line.retention_deadline});
+  refresh_q_.set(set, way, refresh_due);
   sched_impl_event(refresh_due);
 
   const Cycle done = lr_data_write(line_addr, start);
@@ -436,6 +432,7 @@ Cycle TwoPartBank::hr_write_hit(Addr line_addr, unsigned way, Cycle start) {
     ledger().add(e_.hr_tag_update, hr_costs_.tag_update_pj);
     ledger().add(e_.buffer, buffer_entry_pj_);
     hr_tags_.invalidate(line_addr, way);
+    hr_expiry_q_.erase(set, way);
 
     const Cycle done = lr_install(line_addr, /*dirty=*/true, wc, start, start);
     hr2lr_.add(done);
@@ -449,7 +446,7 @@ Cycle TwoPartBank::hr_write_hit(Addr line_addr, unsigned way, Cycle start) {
   line.write_count += 1;
   line.last_write_cycle = start;
   line.retention_deadline = hr_retention_.deadline(start);
-  hr_expiry_q_.push({line.retention_deadline, set, way, line.retention_deadline});
+  hr_expiry_q_.set(set, way, line.retention_deadline);
   sched_impl_event(line.retention_deadline);
 
   const Cycle done = hr_data_write(line_addr, start);
@@ -470,7 +467,7 @@ Cycle TwoPartBank::lr_install(Addr addr, bool dirty, std::uint32_t write_count,
   line.last_write_cycle = last_write;
   line.retention_deadline = lr_retention_.deadline(now);
   const Cycle refresh_due = lr_retention_.refresh_due(now);
-  refresh_q_.push({refresh_due, set, way, line.retention_deadline});
+  refresh_q_.set(set, way, refresh_due);
   sched_impl_event(refresh_due);
 
   const Cycle done = lr_data_write(key, now);
@@ -490,6 +487,7 @@ void TwoPartBank::lr_evict(std::uint64_t set, unsigned way, Cycle now) {
   const Carry carry =
       fault_carry_trial(lr_faults_, lr_tags_.line(set, way), lr_retention_.retention_cycles(), now);
   lr_tags_.invalidate(key, way);
+  refresh_q_.erase(set, way);
   if (carry == Carry::kDrop) return;  // collapsed in LR: nothing usable to carry
 
   if (!lr2hr_.full(now)) {
@@ -533,7 +531,7 @@ Cycle TwoPartBank::hr_install(Addr addr, bool dirty, std::uint32_t write_count, 
   line.write_count = write_count;
   line.last_write_cycle = write_count != 0 ? now : kNoCycle;
   line.retention_deadline = hr_retention_.deadline(now);
-  hr_expiry_q_.push({line.retention_deadline, set, victim, line.retention_deadline});
+  hr_expiry_q_.set(set, victim, line.retention_deadline);
   sched_impl_event(line.retention_deadline);
 
   const Cycle done = hr_data_write(addr, now);
@@ -600,12 +598,9 @@ void TwoPartBank::do_refresh(Cycle now) {
   // lines this call touched and when the last staged rewrite completes.
   std::uint64_t storm_lines = 0;
   Cycle storm_end = now;
-  while (!refresh_q_.empty() && refresh_q_.top().when <= now) {
-    const TimedLineRef e = refresh_q_.top();
-    refresh_q_.pop();
-    if (!lr_tags_.valid(e.set, e.way)) continue;  // stale
+  while (refresh_q_.next() <= now) {
+    const DeadlineIndex::Slot e = refresh_q_.pop_front();
     cache::LineMeta& line = lr_tags_.line(e.set, e.way);
-    if (line.retention_deadline != e.deadline) continue;  // stale
     ++storm_lines;
 
     // Refresh-as-scrub: the refresh read passes through the ECC check, so a
@@ -630,7 +625,7 @@ void TwoPartBank::do_refresh(Cycle now) {
       mutable_counters().at(c_.lr_phys_writes) += 1;
       lr_wear_.record_write(e.set, e.way);
       line.retention_deadline = lr_retention_.deadline(now);
-      refresh_q_.push({lr_retention_.refresh_due(now), e.set, e.way, line.retention_deadline});
+      refresh_q_.set(e.set, e.way, lr_retention_.refresh_due(now));
       if (lr_faults_.enabled()) {
         done = apply_write_verify(lr_faults_, lr_data_, raddr, done, lr_write_occ_,
                                   e_.lr_refresh, lr_costs_.data_write_pj * write_energy_scale_);
@@ -656,12 +651,9 @@ void TwoPartBank::do_refresh(Cycle now) {
 }
 
 void TwoPartBank::do_hr_expiry(Cycle now) {
-  while (!hr_expiry_q_.empty() && hr_expiry_q_.top().when <= now) {
-    const TimedLineRef e = hr_expiry_q_.top();
-    hr_expiry_q_.pop();
-    if (!hr_tags_.valid(e.set, e.way)) continue;  // stale
+  while (hr_expiry_q_.next() <= now) {
+    const DeadlineIndex::Slot e = hr_expiry_q_.pop_front();
     cache::LineMeta& line = hr_tags_.line(e.set, e.way);
-    if (line.retention_deadline != e.deadline) continue;  // stale
     const Addr addr = hr_tags_.addr_of(e.set, e.way);
     if (line.dirty) {
       hr_data_.occupy(addr, now, hr_read_occ_);

@@ -23,8 +23,6 @@
 // miss probes the other serially) or parallel (both probed at once).
 #pragma once
 
-#include <queue>
-
 #include "cache/tag_array.hpp"
 #include "cache/write_stats.hpp"
 #include "power/array_model.hpp"
@@ -79,7 +77,8 @@ class TwoPartBank final : public BankBase {
   void sample_telemetry(Cycle now, Telemetry& out) override;
 
   /// Base queue depths plus swap-buffer fill, migration threshold and the
-  /// refresh/expiry backlog (watchdog diagnostic dumps).
+  /// pending LR refreshes and HR expiries, at most one per resident line
+  /// (watchdog diagnostic dumps).
   void describe_state(std::ostream& os, Cycle now) const override;
 
   // --- figure hooks ---
@@ -119,14 +118,6 @@ class TwoPartBank final : public BankBase {
   Cycle impl_next_event() const override;
 
  private:
-  struct TimedLineRef {
-    Cycle when;
-    std::uint64_t set;
-    unsigned way;
-    Cycle deadline;  ///< entry valid only if it matches the line's deadline
-    bool operator>(const TimedLineRef& o) const noexcept { return when > o.when; }
-  };
-
   void service(const gpu::L2Request& request, Cycle now, bool replay);
   /// Write into an LR-resident line (way known).
   Cycle lr_write_hit(Addr line_addr, unsigned way, Cycle now);
@@ -209,8 +200,8 @@ class TwoPartBank final : public BankBase {
   BufferWindow hr2lr_;
   BufferWindow lr2hr_;
 
-  std::priority_queue<TimedLineRef, std::vector<TimedLineRef>, std::greater<>> refresh_q_;
-  std::priority_queue<TimedLineRef, std::vector<TimedLineRef>, std::greater<>> hr_expiry_q_;
+  DeadlineIndex refresh_q_;    ///< LR lines: when each is due for refresh
+  DeadlineIndex hr_expiry_q_;  ///< HR lines: when each expires
 
   RewriteTracker lr_rewrites_;
   RewriteTracker hr_rewrites_;

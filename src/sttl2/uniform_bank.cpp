@@ -30,6 +30,7 @@ UniformBank::UniformBank(unsigned bank_id, const UniformBankConfig& config,
       data_(config.subbanks),
       // SRAM cells (retention_s == 0) force the model inert inside the ctor.
       faults_(config.faults, config.cell.retention_s, clock, bank_id),
+      expiry_(tags_.geometry().num_sets(), tags_.geometry().associativity()),
       rewrites_(clock),
       write_var_(tags_.geometry().num_sets(), tags_.geometry().associativity()) {
   tag_lat_ = clock_.cycles_for_ns(costs_.tag_latency_ns);
@@ -64,15 +65,11 @@ UniformBank::UniformBank(unsigned bank_id, const UniformBankConfig& config,
   init_impl_deadline();
 }
 
-Cycle UniformBank::impl_next_event() const {
-  // Possibly-stale entries are fine: the tick at entry.deadline pops and
-  // discards them, exactly as the per-cycle loop does.
-  return expiry_.empty() ? kNoCycle : expiry_.top().deadline;
-}
+Cycle UniformBank::impl_next_event() const { return expiry_.next(); }
 
 void UniformBank::schedule_expiry(std::uint64_t set, unsigned way, Cycle deadline) {
   if (retention_cycles_ == 0) return;
-  expiry_.push({deadline, set, way});
+  expiry_.set(set, way, deadline);
   sched_impl_event(deadline);
 }
 
@@ -128,6 +125,7 @@ bool UniformBank::fault_read_check(Addr line_addr, unsigned way, Cycle now) {
     }
   }
   tags_.invalidate(line_addr, way);
+  expiry_.erase(set, way);
   return true;
 }
 
@@ -243,12 +241,9 @@ void UniformBank::process_fill(Addr line_addr, Cycle now) {
 }
 
 void UniformBank::maintenance(Cycle now) {
-  while (!expiry_.empty() && expiry_.top().deadline <= now) {
-    const ExpiryEntry e = expiry_.top();
-    expiry_.pop();
-    if (!tags_.valid(e.set, e.way)) continue;  // stale
+  while (expiry_.next() <= now) {
+    const DeadlineIndex::Slot e = expiry_.pop_front();
     cache::LineMeta& line = tags_.line(e.set, e.way);
-    if (line.retention_deadline != e.deadline) continue;  // stale
     const Addr addr = tags_.addr_of(e.set, e.way);
     if (line.dirty) {
       data_.occupy(addr, now, read_occ_);

@@ -9,14 +9,13 @@
 // Policy: write-back, write-allocate (fetch-on-write), LRU.
 #pragma once
 
-#include <queue>
-
 #include "cache/tag_array.hpp"
 #include "cache/write_stats.hpp"
 #include "power/array_model.hpp"
 #include "sttl2/bank_base.hpp"
 #include "sttl2/config.hpp"
 #include "sttl2/fault_model.hpp"
+#include "sttl2/retention.hpp"
 #include "sttl2/rewrite_tracker.hpp"
 
 namespace sttgpu::sttl2 {
@@ -48,13 +47,6 @@ class UniformBank final : public BankBase {
   Cycle impl_next_event() const override;
 
  private:
-  struct ExpiryEntry {
-    Cycle deadline;
-    std::uint64_t set;
-    unsigned way;
-    bool operator>(const ExpiryEntry& o) const noexcept { return deadline > o.deadline; }
-  };
-
   void write_line(cache::LineMeta& line, std::uint64_t set, unsigned way, Cycle now);
   void schedule_expiry(std::uint64_t set, unsigned way, Cycle deadline);
 
@@ -83,7 +75,7 @@ class UniformBank final : public BankBase {
   Cycle write_occ_;
   Cycle retention_cycles_ = 0;  // 0 => non-volatile at simulation horizons
 
-  std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>, std::greater<>> expiry_;
+  DeadlineIndex expiry_;  ///< retention deadline of each volatile line
   RewriteTracker rewrites_;
   cache::WriteVariationTracker write_var_;
   double write_energy_scale_ = 1.0;  ///< EWT factor (1.0 when disabled)

@@ -2,6 +2,7 @@
 // channel, without the rest of the GPU.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -75,6 +76,20 @@ class BankHarness {
   std::uint64_t next_id_ = 1;
   std::vector<gpu::L2Response> responses_;
 };
+
+/// Smallest retention deadline among the valid lines of @p tags (kNoCycle
+/// when none is valid).
+inline Cycle earliest_resident_deadline(const cache::TagArray& tags) {
+  Cycle earliest = kNoCycle;
+  for (std::uint64_t set = 0; set < tags.geometry().num_sets(); ++set) {
+    for (unsigned way = 0; way < tags.geometry().associativity(); ++way) {
+      if (tags.valid(set, way)) {
+        earliest = std::min(earliest, tags.line(set, way).retention_deadline);
+      }
+    }
+  }
+  return earliest;
+}
 
 using UniformHarness = BankHarness<sttl2::UniformBank, sttl2::UniformBankConfig>;
 using TwoPartHarness = BankHarness<sttl2::TwoPartBank, sttl2::TwoPartBankConfig>;

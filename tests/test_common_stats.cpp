@@ -35,7 +35,7 @@ TEST(StreamStats, ConstantSeriesHasZeroCov) {
 }
 
 TEST(Histogram, RejectsBadEdges) {
-  EXPECT_THROW(Histogram({}), SimError);
+  EXPECT_THROW(Histogram(std::vector<double>{}), SimError);
   EXPECT_THROW(Histogram({1.0, 1.0}), SimError);
   EXPECT_THROW(Histogram({2.0, 1.0}), SimError);
 }

@@ -253,6 +253,53 @@ TEST(HotpathEquivalence, TelemetryRunsMatchPlainAggregates) {
   }
 }
 
+TEST(FastForwardEquivalence, ShortRetentionExpiryRunsArePinned) {
+  // No Fig. 8 run lives long enough for an HR line to expire, so this pins
+  // runs where expiries do fire: kmeans with 10 us HR and 2 us LR retention
+  // on C1, and with 10 us cells on the STT baseline, with and without fault
+  // injection, under both loops. Any change to which lines refresh or
+  // expire, or when, moves these exact values.
+  struct Pin {
+    sim::Architecture arch;
+    bool faults;
+    Cycle cycles;
+    std::uint64_t dram_writes, expired_clean, expired_dirty, refreshes;
+    std::uint64_t data_loss, clean_refetch;
+  };
+  const Pin pins[] = {
+      {sim::Architecture::kC1, false, 80092, 3638, 14527, 2979, 8114, 0, 0},
+      {sim::Architecture::kSttBaseline, false, 81513, 4106, 17014, 3842, 0, 0, 0},
+      {sim::Architecture::kC1, true, 118895, 35, 11216, 1074, 0, 9613, 31625},
+      {sim::Architecture::kSttBaseline, true, 120138, 5, 14800, 1420, 0, 6581, 33883},
+  };
+  const workload::Workload w = workload::make_benchmark("kmeans", 0.5);
+  for (const Pin& pin : pins) {
+    sim::ArchSpec spec = sim::make_arch(pin.arch);
+    spec.two_part_cfg.hr_retention_s = 1e-5;
+    spec.two_part_cfg.lr_retention_s = 2e-6;
+    spec.uniform.cell = nvm::stt_cell_for_retention(1e-5);
+    const std::string prefix = spec.two_part ? "hr_" : "";
+    for (const bool fast_forward : {false, true}) {
+      sim::RunOptions opts;
+      opts.fast_forward = fast_forward;
+      opts.faults.enabled = pin.faults;
+      opts.faults.accel = 200;
+      RunResult run;
+      (void)sim::run_one_detailed(spec, w, run, opts);
+      SCOPED_TRACE(spec.name + (pin.faults ? " faults=1" : " faults=0") +
+                   (fast_forward ? " fastforward=1" : " fastforward=0"));
+      const CounterSet& c = run.l2_counters;
+      EXPECT_EQ(run.cycles, pin.cycles);
+      EXPECT_EQ(run.dram_writes, pin.dram_writes);
+      EXPECT_EQ(c.get(prefix + "expired_clean"), pin.expired_clean);
+      EXPECT_EQ(c.get(prefix + "expired_dirty"), pin.expired_dirty);
+      EXPECT_EQ(c.get("refreshes"), pin.refreshes);
+      EXPECT_EQ(c.get("fault_data_loss"), pin.data_loss);
+      EXPECT_EQ(c.get("fault_clean_refetch"), pin.clean_refetch);
+    }
+  }
+}
+
 TEST(FastForwardEquivalence, WheelRejectsMoreThan64Components) {
   // The wheel's due set is one 64-bit mask over SMs + banks; a wider
   // machine is refused up front instead of silently changing loops. The

@@ -33,6 +33,17 @@ TEST(FaultModel, SramRetentionForcesDisabled) {
   EXPECT_FALSE(m.enabled());
 }
 
+TEST(FaultModel, DisabledModelBuildsNoLifetimeHistogram) {
+  // Fault injection is off by default and every STT bank owns one or two
+  // models, so a disabled model must cost nothing: no lifetime buckets.
+  FaultModel off(FaultInjectionConfig{}, 1e-4, kGHz, 0);
+  EXPECT_EQ(off.lifetimes_ns().bucket_count(), 0u);
+  FaultModel sram(enabled_cfg(), /*retention_s=*/0.0, kGHz, 0);
+  EXPECT_EQ(sram.lifetimes_ns().bucket_count(), 0u);
+  FaultModel on(enabled_cfg(), 1e-4, kGHz, 0);
+  EXPECT_GT(on.lifetimes_ns().bucket_count(), 100u);
+}
+
 TEST(FaultModel, ZeroLengthIntervalIsNotATrial) {
   FaultModel m(enabled_cfg(), 1e-4, kGHz, 0);
   EXPECT_EQ(m.sample_collapse(500, 500), FaultModel::Collapse::kNone);

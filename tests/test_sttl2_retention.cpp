@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace sttgpu::sttl2 {
@@ -68,6 +71,100 @@ TEST(RetentionClock, HrParametersFromThePaper) {
   const RetentionClock rc(40e-3, 2, kClock);
   EXPECT_EQ(rc.retention_cycles(), 28'000'000u);
   EXPECT_EQ(rc.tick_cycles(), 7'000'000u);
+}
+
+// DeadlineIndex: one pending deadline per (set, way) slot, popped in key
+// order, equal keys in the order they were set.
+
+/// Pops every pending slot as "set.way" strings, in pop order.
+std::vector<std::string> drain(DeadlineIndex& q) {
+  std::vector<std::string> out;
+  while (q.next() != kNoCycle) {
+    const DeadlineIndex::Slot s = q.pop_front();
+    out.push_back(std::to_string(s.set) + "." + std::to_string(s.way));
+  }
+  return out;
+}
+
+using Order = std::vector<std::string>;
+
+TEST(DeadlineIndex, EmptyReportsNoCycle) {
+  DeadlineIndex q(4, 2);
+  EXPECT_EQ(q.next(), kNoCycle);
+  EXPECT_EQ(q.size(), 0u);
+  q.erase(1, 1);  // nothing pending: a no-op, even before the first set()
+  EXPECT_EQ(q.next(), kNoCycle);
+  q.set(1, 1, 50);
+  q.erase(1, 1);
+  EXPECT_EQ(q.next(), kNoCycle);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(DeadlineIndex, PopsInKeyOrder) {
+  DeadlineIndex q(4, 2);
+  q.set(0, 0, 300);
+  q.set(3, 1, 100);
+  q.set(2, 0, 400);
+  q.set(1, 1, 200);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.next(), 100u);
+  EXPECT_EQ(drain(q), (Order{"3.1", "1.1", "0.0", "2.0"}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(DeadlineIndex, EqualKeysPopInInsertionOrder) {
+  DeadlineIndex q(4, 2);
+  q.set(2, 1, 100);
+  q.set(0, 0, 100);
+  q.set(3, 0, 50);
+  q.set(1, 0, 100);
+  q.set(0, 1, 100);
+  EXPECT_EQ(drain(q), (Order{"3.0", "2.1", "0.0", "1.0", "0.1"}));
+}
+
+TEST(DeadlineIndex, ResetMovesTheSlot) {
+  DeadlineIndex q(4, 2);
+  q.set(0, 0, 100);
+  q.set(1, 0, 200);
+  q.set(2, 0, 300);
+  q.set(0, 0, 250);  // later: one entry, moved behind 1.0
+  EXPECT_EQ(q.size(), 3u);
+  q.set(2, 0, 200);  // earlier, tied with 1.0: goes behind it
+  EXPECT_EQ(q.size(), 3u);
+  q.set(1, 0, 200);  // same key again: now behind 2.0
+  EXPECT_EQ(q.next(), 200u);
+  EXPECT_EQ(drain(q), (Order{"2.0", "1.0", "0.0"}));
+}
+
+TEST(DeadlineIndex, EraseAtHeadMiddleAndTail) {
+  DeadlineIndex q(2, 4);
+  for (unsigned way = 0; way < 4; ++way) q.set(1, way, 10 * (way + 1));
+  q.set(0, 0, 50);
+  q.erase(1, 0);  // head
+  EXPECT_EQ(q.next(), 20u);
+  q.erase(1, 2);  // middle
+  q.erase(0, 0);  // tail
+  EXPECT_EQ(q.size(), 2u);
+  q.set(0, 3, 45);  // appends behind 1.3: the tail link survived the erase
+  EXPECT_EQ(drain(q), (Order{"1.1", "1.3", "0.3"}));
+}
+
+TEST(DeadlineIndex, NearlySortedKeysKeepTheOrder) {
+  // Keys are write cycles plus a constant and arrive slightly out of order
+  // (writes start up to one tag latency after `now`); pops stay sorted.
+  DeadlineIndex q(64, 4);
+  Cycle key = 1000;
+  for (unsigned i = 0; i < 256; ++i) {
+    key += i % 3;
+    q.set(i / 4, i % 4, key - (i % 2) * 3);
+  }
+  Cycle last = 0;
+  while (q.next() != kNoCycle) {
+    const Cycle k = q.next();
+    EXPECT_GE(k, last);
+    last = k;
+    q.pop_front();
+  }
 }
 
 }  // namespace

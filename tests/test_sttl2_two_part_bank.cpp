@@ -4,6 +4,9 @@
 // single-residency invariant and search-policy equivalence.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "bank_harness.hpp"
 #include "common/rng.hpp"
 
@@ -11,6 +14,7 @@ namespace sttgpu::sttl2 {
 namespace {
 
 using Harness = sttgpu::testing::TwoPartHarness;
+using sttgpu::testing::earliest_resident_deadline;
 
 TwoPartBankConfig small_cfg() {
   TwoPartBankConfig c;
@@ -220,6 +224,47 @@ TEST(TwoPartBank, HrExpiryInvalidatesStaleLines) {
   EXPECT_EQ(h.bank().counters().get("hr_expired_clean"), 1u);
   EXPECT_EQ(h.dram().writes(), writes_before + 1);
   EXPECT_FALSE(resident(h.bank().hr_tags(), 0x1000));
+}
+
+TEST(TwoPartBank, NextEventIsTheEarliestResidentHrDeadline) {
+  // Each resident HR line has exactly one pending expiry. Fifteen fills at
+  // distinct cycles into one 7-way HR set (stride 0x800) evict the first
+  // eight; once the first line's deadline has passed, the bank's next event
+  // must be a resident line's deadline, not the next evicted line's.
+  TwoPartBankConfig cfg = small_cfg();
+  cfg.hr_retention_s = 1e-3;  // 700k cycles
+  Harness h(cfg);
+  Cycle first_deadline = kNoCycle;
+  for (Addr i = 0; i < 15; ++i) {
+    h.send(i * 0x800, false);
+    h.drain();
+    if (i == 0) first_deadline = earliest_resident_deadline(h.bank().hr_tags());
+    h.run(100);
+  }
+  ASSERT_FALSE(resident(h.bank().hr_tags(), 0x0));
+  h.run(first_deadline + 1 - h.now());
+  const Cycle expected = earliest_resident_deadline(h.bank().hr_tags());
+  EXPECT_GT(expected, first_deadline);
+  EXPECT_EQ(h.bank().next_event_cycle(), expected);
+  EXPECT_EQ(h.bank().counters().get("hr_expired_clean"), 0u);
+}
+
+TEST(TwoPartBank, PendingDeadlinesStayBoundedByResidentLines) {
+  // Thousands of fills through the 56-line HR leave one pending expiry per
+  // resident line, not one per fill.
+  Harness h(small_cfg());
+  for (Addr batch = 0; batch < 400; ++batch) {
+    for (Addr i = 0; i < 8; ++i) h.send((batch * 8 + i) * 0x100, false);
+    h.drain();
+  }
+  std::ostringstream os;
+  h.bank().describe_state(os, h.now());
+  const std::string state = os.str();
+  const auto at = state.find("hr_expiry_q=");
+  ASSERT_NE(at, std::string::npos) << state;
+  const unsigned long pending = std::stoul(state.substr(at + 12));
+  EXPECT_LE(pending, 56u);
+  EXPECT_EQ(pending, h.bank().hr_tags().valid_count());
 }
 
 TEST(TwoPartBank, SearchPoliciesAgreeOnOutcomes) {

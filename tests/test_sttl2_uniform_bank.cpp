@@ -7,6 +7,7 @@ namespace sttgpu::sttl2 {
 namespace {
 
 using testing_harness = sttgpu::testing::UniformHarness;
+using sttgpu::testing::earliest_resident_deadline;
 
 UniformBankConfig sram_cfg() {
   UniformBankConfig c;
@@ -125,6 +126,28 @@ TEST(UniformBank, VolatileCellsExpireWithoutRefresh) {
   h.send(0x100, false);
   h.drain();
   EXPECT_EQ(h.dram().reads(), 3u);
+}
+
+TEST(UniformBank, NextEventIsTheEarliestResidentDeadline) {
+  // One pending expiry per resident line: 17 fills into one 8-way set
+  // (stride 0x800) evict the first nine; once the first line's deadline has
+  // passed, the next event is a resident line's deadline.
+  UniformBankConfig cfg = sram_cfg();
+  cfg.cell = nvm::stt_cell(nvm::RetentionClass::kUs26);  // 18550 cycles
+  testing_harness h(cfg);
+  Cycle first_deadline = kNoCycle;
+  for (Addr i = 0; i < 17; ++i) {
+    h.send(i * 0x800, false);
+    h.drain();
+    if (i == 0) first_deadline = earliest_resident_deadline(h.bank().tags());
+    h.run(50);
+  }
+  ASSERT_FALSE(h.bank().tags().probe(0x0).has_value());
+  h.run(first_deadline + 1 - h.now());
+  const Cycle expected = earliest_resident_deadline(h.bank().tags());
+  EXPECT_GT(expected, first_deadline);
+  EXPECT_EQ(h.bank().next_event_cycle(), expected);
+  EXPECT_EQ(h.bank().counters().get("expired_clean"), 0u);
 }
 
 TEST(UniformBank, RewriteIntervalsTracked) {
