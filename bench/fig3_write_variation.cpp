@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     const workload::Workload w = workload::make_benchmark(name, scale);
     table.add_row({name, w.region, TextTable::fmt_percent(p.inter_set_cov),
                    TextTable::fmt_percent(p.intra_set_cov),
-                   TextTable::fmt_percent(p.write_share)});
+                   TextTable::fmt_percent(p.metrics.l2_write_share)});
     if (p.inter_set_cov > 0) inter.push_back(p.inter_set_cov);
     if (p.intra_set_cov > 0) intra.push_back(p.intra_set_cov);
   }

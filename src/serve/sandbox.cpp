@@ -161,7 +161,7 @@ void close_inherited_fds(int keep) {
       ro.telemetry = tel.get();
     }
     const sim::Metrics m = sim::run_one(job.arch_id, job.bench, ro);
-    put_line(wfd, "row " + store::encode_put(job.fp, job.scale17, sim::to_store_row(m)));
+    put_line(wfd, "row " + store::encode_put(job.fp, job.scale17, m));
   } catch (const std::bad_alloc&) {
     put_line(wfd, "err address-space limit reached (mem_limit)");
     code = 3;

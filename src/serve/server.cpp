@@ -250,17 +250,11 @@ struct SweepServer::Impl {
 
   // --- CSV export (call WITHOUT mu) ----------------------------------------
 
-  /// The exact export sequence run_matrix performs after a sweep, so the
-  /// CSV this daemon publishes is byte-identical to a direct run's.
-  void export_csv(std::uint64_t fp, double scale,
-                  const sttl2::FaultInjectionConfig& faults) {
+  /// run_matrix's own export, so the CSV this daemon publishes is
+  /// byte-identical to a direct run's.
+  void export_csv(double scale, const sttl2::FaultInjectionConfig& faults) {
     try {
-      store->refresh();
-      std::vector<sim::Metrics> all;
-      for (const store::ResultRow& r : store->rows_for(fp, scale)) {
-        all.push_back(sim::from_store_row(r));
-      }
-      sim::save_cache(opts.cache_path, scale, all, faults);
+      sim::export_cache(*store, opts.cache_path, scale, faults);
     } catch (const std::exception& e) {
       // The WAL already holds every row durably; a failed export is a
       // nuisance, not data loss — the next completion retries.
@@ -271,10 +265,9 @@ struct SweepServer::Impl {
   // --- task lifecycle ------------------------------------------------------
 
   /// Records a finished task into every waiting submission. mu held.
-  /// Returns the (fp, scale, faults) export jobs for submissions that just
+  /// Returns the (scale, faults) export jobs for submissions that just
   /// completed (performed by the caller after releasing mu).
   struct ExportJob {
-    std::uint64_t fp;
     double scale;
     sttl2::FaultInjectionConfig faults;
   };
@@ -309,7 +302,7 @@ struct SweepServer::Impl {
       }
       if (sub.pending.empty() && !sub.complete) {
         complete_submission_locked(sub);
-        if (sub.touched_store) exports.push_back({sub.fp, sub.scale, sub.faults});
+        if (sub.touched_store) exports.push_back({sub.scale, sub.faults});
       }
     }
     return exports;
@@ -381,7 +374,7 @@ struct SweepServer::Impl {
             finish_task_locked(t, sim::job_status_name(o.status), o.error, nullptr);
       }
     }
-    for (const ExportJob& e : exports) export_csv(e.fp, e.scale, e.faults);
+    for (const ExportJob& e : exports) export_csv(e.scale, e.faults);
   }
 
   void worker_loop() {
@@ -587,7 +580,7 @@ struct SweepServer::Impl {
       }
       if (sub.pending.empty()) {
         complete_submission_locked(sub);  // pure hit
-        if (sub.touched_store) replay_export = ExportJob{sub.fp, sub.scale, sub.faults};
+        if (sub.touched_store) replay_export = ExportJob{sub.scale, sub.faults};
       }
       say("submit " + std::to_string(out.id) + ": " + std::to_string(sub.total) +
           " configs, " + std::to_string(sub.hits) + " store hits, " +
@@ -595,8 +588,7 @@ struct SweepServer::Impl {
           " attached");
     }
     cv_queue.notify_all();
-    if (replay_export) export_csv(replay_export->fp, replay_export->scale,
-                                  replay_export->faults);
+    if (replay_export) export_csv(replay_export->scale, replay_export->faults);
     return out;
   }
 

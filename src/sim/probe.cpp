@@ -29,16 +29,7 @@ TwoPartProbe run_two_part(const std::string& benchmark,
   const gpu::RunResult r = g.run(w);
 
   TwoPartProbe probe;
-  probe.metrics.arch = "two-part";
-  probe.metrics.benchmark = benchmark;
-  probe.metrics.ipc = r.ipc;
-  probe.metrics.cycles = r.cycles;
-  probe.metrics.leakage_w = r.l2_leakage_w;
-  probe.metrics.dynamic_w =
-      r.runtime_s > 0.0 ? r.l2_energy.total_pj() * 1e-12 / r.runtime_s : 0.0;
-  probe.metrics.total_w = probe.metrics.dynamic_w + probe.metrics.leakage_w;
-  probe.metrics.l2_write_share = r.l2.write_share();
-  probe.metrics.l2_miss_rate = r.l2.miss_rate();
+  probe.metrics = metrics_of("two-part", benchmark, r);
   probe.counters = r.l2_counters;
 
   // Merge the per-bank histograms and wear statistics.
@@ -120,14 +111,8 @@ UniformProbe run_uniform(const std::string& benchmark,
   const gpu::RunResult r = g.run(w);
 
   UniformProbe probe;
-  probe.metrics.arch = "uniform";
-  probe.metrics.benchmark = benchmark;
-  probe.metrics.ipc = r.ipc;
-  probe.metrics.cycles = r.cycles;
-  probe.metrics.l2_write_share = r.l2.write_share();
-  probe.metrics.l2_miss_rate = r.l2.miss_rate();
+  probe.metrics = metrics_of("uniform", benchmark, r);
   probe.counters = r.l2_counters;
-  probe.write_share = r.l2.write_share();
 
   StreamStats inter, intra;
   for (unsigned b = 0; b < g.num_banks(); ++b) {

@@ -57,7 +57,6 @@ struct UniformProbe {
   CounterSet counters;
   double inter_set_cov = 0.0;  ///< mean across banks
   double intra_set_cov = 0.0;
-  double write_share = 0.0;    ///< writes / L2 accesses
 };
 
 UniformProbe run_uniform(const std::string& benchmark, const sttl2::UniformBankConfig& bank_cfg,

@@ -59,13 +59,9 @@ namespace {
 void metrics_fields(JsonWriter& w, const Metrics& m) {
   w.key("arch").value(m.arch);
   w.key("benchmark").value(m.benchmark);
-  w.key("ipc").value(m.ipc);
-  w.key("cycles").value(m.cycles);
-  w.key("dynamic_w").value(m.dynamic_w);
-  w.key("leakage_w").value(m.leakage_w);
-  w.key("total_w").value(m.total_w);
-  w.key("l2_write_share").value(m.l2_write_share);
-  w.key("l2_miss_rate").value(m.l2_miss_rate);
+  store::for_each_value(m, [&w](const char*, const char* key, const auto& v) {
+    w.key(key).value(v);
+  });
 }
 
 }  // namespace
@@ -78,13 +74,6 @@ void print_metrics_block(std::ostream& os, const Metrics& metrics, double scale)
      << " + leak " << metrics.leakage_w << ")\n"
      << "  writes     " << metrics.l2_write_share * 100 << "% of L2 accesses\n"
      << "  miss rate  " << metrics.l2_miss_rate * 100 << "%\n";
-}
-
-void write_metrics_json(std::ostream& os, const Metrics& metrics) {
-  JsonWriter w(os);
-  w.begin_object();
-  metrics_fields(w, metrics);
-  w.end_object();
 }
 
 void write_matrix_json(std::ostream& os, const std::vector<Metrics>& rows) {

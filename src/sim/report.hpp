@@ -16,9 +16,6 @@ namespace sttgpu::sim {
 /// prints byte-identically to a direct run.
 void print_metrics_block(std::ostream& os, const Metrics& metrics, double scale);
 
-/// One metrics row as a JSON object.
-void write_metrics_json(std::ostream& os, const Metrics& metrics);
-
 /// A matrix of runs: {"runs": [ {...}, ... ]}.
 void write_matrix_json(std::ostream& os, const std::vector<Metrics>& rows);
 

@@ -19,8 +19,6 @@
 
 namespace sttgpu::sim {
 
-namespace {
-
 std::unique_ptr<gpu::L2BankFactory> make_factory(const ArchSpec& spec) {
   const Clock clock = spec.gpu.clock();
   if (spec.two_part) {
@@ -29,9 +27,6 @@ std::unique_ptr<gpu::L2BankFactory> make_factory(const ArchSpec& spec) {
   return std::make_unique<sttl2::UniformBankFactory>(spec.uniform, clock);
 }
 
-/// RunOptions is the single source of truth for run-mode knobs: overwrite
-/// the spec's copies so a pre-mutated spec cannot silently diverge from
-/// what the caller asked for.
 ArchSpec configured(const ArchSpec& spec, const RunOptions& opts) {
   ArchSpec s = spec;
   s.gpu.fast_forward = opts.fast_forward;
@@ -46,14 +41,21 @@ ArchSpec configured(const ArchSpec& spec, const RunOptions& opts) {
   return s;
 }
 
-}  // namespace
-
-namespace {
-
-Metrics metrics_from(const ArchSpec& spec, const workload::Workload& workload,
-                     const gpu::RunResult& r);
-
-}  // namespace
+Metrics metrics_of(const std::string& arch, const std::string& benchmark,
+                   const gpu::RunResult& run) {
+  Metrics m;
+  m.arch = arch;
+  m.benchmark = benchmark;
+  m.ipc = run.ipc;
+  m.cycles = run.cycles;
+  m.leakage_w = run.l2_leakage_w;
+  m.dynamic_w =
+      run.runtime_s > 0.0 ? run.l2_energy.total_pj() * 1e-12 / run.runtime_s : 0.0;
+  m.total_w = m.dynamic_w + m.leakage_w;
+  m.l2_write_share = run.l2.write_share();
+  m.l2_miss_rate = run.l2.miss_rate();
+  return m;
+}
 
 Metrics run_one(const ArchSpec& spec, const workload::Workload& workload,
                 const RunOptions& opts) {
@@ -67,29 +69,10 @@ Metrics run_one_detailed(const ArchSpec& spec, const workload::Workload& workloa
   auto factory = make_factory(s);
   gpu::Gpu g(s.gpu, *factory);
   out_run = g.run(workload);
-  const Metrics m = metrics_from(s, workload, out_run);
+  const Metrics m = metrics_of(s.name, workload.name, out_run);
   if (opts.inspect) opts.inspect(g);
   return m;
 }
-
-namespace {
-
-Metrics metrics_from(const ArchSpec& spec, const workload::Workload& workload,
-                     const gpu::RunResult& r) {
-  Metrics m;
-  m.arch = spec.name;
-  m.benchmark = workload.name;
-  m.ipc = r.ipc;
-  m.cycles = r.cycles;
-  m.leakage_w = r.l2_leakage_w;
-  m.dynamic_w = r.runtime_s > 0.0 ? r.l2_energy.total_pj() * 1e-12 / r.runtime_s : 0.0;
-  m.total_w = m.dynamic_w + m.leakage_w;
-  m.l2_write_share = r.l2.write_share();
-  m.l2_miss_rate = r.l2.miss_rate();
-  return m;
-}
-
-}  // namespace
 
 Metrics run_one(Architecture arch, const std::string& benchmark,
                 const RunOptions& opts) {
@@ -124,38 +107,6 @@ std::uint64_t fnv1a(const std::string& s) {
   }
   return h;
 }
-
-}  // namespace
-
-store::ResultRow to_store_row(const Metrics& m) {
-  store::ResultRow r;
-  r.arch = m.arch;
-  r.benchmark = m.benchmark;
-  r.ipc = m.ipc;
-  r.cycles = m.cycles;
-  r.dynamic_w = m.dynamic_w;
-  r.leakage_w = m.leakage_w;
-  r.total_w = m.total_w;
-  r.write_share = m.l2_write_share;
-  r.miss_rate = m.l2_miss_rate;
-  return r;
-}
-
-Metrics from_store_row(const store::ResultRow& r) {
-  Metrics m;
-  m.arch = r.arch;
-  m.benchmark = r.benchmark;
-  m.ipc = r.ipc;
-  m.cycles = r.cycles;
-  m.dynamic_w = r.dynamic_w;
-  m.leakage_w = r.leakage_w;
-  m.total_w = r.total_w;
-  m.l2_write_share = r.write_share;
-  m.l2_miss_rate = r.miss_rate;
-  return m;
-}
-
-namespace {
 
 // Serializes everything a cached Metrics row depends on: the resolved
 // architecture registry (cache geometry, cell/energy parameters, GPU
@@ -236,18 +187,19 @@ std::map<std::pair<std::string, std::string>, Metrics> load_cache(
   const std::vector<store::ResultRow> rows = store::read_csv_v2(
       path, scale, config_fingerprint(faults),
       [](const std::string& line) { log_line(line); });
-  for (const store::ResultRow& r : rows) {
-    cache[{r.arch, r.benchmark}] = from_store_row(r);
-  }
+  for (const store::ResultRow& r : rows) cache[{r.arch, r.benchmark}] = r;
   return cache;
 }
 
 void save_cache(const std::string& path, double scale, const std::vector<Metrics>& rows,
                 const sttl2::FaultInjectionConfig& faults) {
-  std::vector<store::ResultRow> out;
-  out.reserve(rows.size());
-  for (const Metrics& m : rows) out.push_back(to_store_row(m));
-  store::write_csv_v2(path, scale, config_fingerprint(faults), out);
+  store::write_csv_v2(path, scale, config_fingerprint(faults), rows);
+}
+
+void export_cache(store::ResultStore& db, const std::string& path, double scale,
+                  const sttl2::FaultInjectionConfig& faults) {
+  db.refresh();
+  save_cache(path, scale, db.rows_for(config_fingerprint(faults), scale), faults);
 }
 
 std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
@@ -332,7 +284,7 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
       rows[slot].benchmark = name;
       const auto hit = db ? db->get(fp, scale, spec.name, name) : std::nullopt;
       if (hit) {
-        rows[slot] = from_store_row(*hit);
+        rows[slot] = *hit;
       } else {
         pending.push_back(Pending{slot, spec, name});
       }
@@ -340,22 +292,10 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
     }
   }
 
-  const auto export_csv = [&]() {
-    // Snapshot other processes' appends first (disjoint-slice merges), then
-    // publish the CSV export: same v2 bytes and (arch, benchmark) order as
-    // the CSV-native cache always wrote.
-    db->refresh();
-    std::vector<Metrics> all;
-    for (const store::ResultRow& r : db->rows_for(fp, scale)) {
-      all.push_back(from_store_row(r));
-    }
-    save_cache(cache_path, scale, all, faults);
-  };
-
   if (!pending.empty() && db) {
     // Fail loudly on an unwritable cache path *before* burning simulation
     // time; this also upgrades a discarded stale/v1 file to a v2 header.
-    export_csv();
+    export_cache(*db, cache_path, scale, faults);
   }
 
   std::atomic<std::size_t> completed{0};
@@ -380,7 +320,7 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
         // first 78. The critical section keeps a watchdog/timeout kill from
         // landing cooperatively between "simulated" and "persisted".
         const CriticalSection cs(ctl);
-        db->put(fp, scale, to_store_row(m));
+        db->put(fp, scale, m);
       }
       const std::size_t k = completed.fetch_add(1) + 1;
       std::ostringstream os;
@@ -403,7 +343,7 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
 
   if (db && (!pending.empty() || !csv_fresh)) {
     try {
-      export_csv();
+      export_cache(*db, cache_path, scale, faults);
     } catch (const Cancelled&) {
       // Interrupted while re-acquiring the store lock. Harmless: the upfront
       // export already left a valid CSV, and every completed row is fsync'd

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,19 +35,15 @@ namespace sttgpu {
 class Telemetry;
 }
 
+namespace sttgpu::store {
+class ResultStore;
+}
+
 namespace sttgpu::sim {
 
-struct Metrics {
-  std::string arch;
-  std::string benchmark;
-  double ipc = 0.0;
-  std::uint64_t cycles = 0;
-  double dynamic_w = 0.0;   ///< L2 dynamic power over the run
-  double leakage_w = 0.0;   ///< L2 leakage
-  double total_w = 0.0;
-  double l2_write_share = 0.0;
-  double l2_miss_rate = 0.0;
-};
+/// One run's result row (IPC, cycles, L2 power and L2 traffic shares);
+/// the same type the store persists and the CSV exports.
+using Metrics = store::ResultRow;
 
 /// Hook type: runs with the live Gpu after simulation, before teardown —
 /// used by benches that need bank internals (histograms, utilizations).
@@ -127,6 +124,18 @@ struct RunOptions {
   SupervisedResult* report = nullptr;
 };
 
+/// @p spec with the run-mode knobs of @p opts applied. RunOptions is the
+/// single source of truth for them: a pre-mutated spec cannot silently
+/// diverge from what the caller asked for.
+ArchSpec configured(const ArchSpec& spec, const RunOptions& opts);
+
+/// The L2 bank factory of @p spec (two-part or uniform banks).
+std::unique_ptr<gpu::L2BankFactory> make_factory(const ArchSpec& spec);
+
+/// The result row of one finished run.
+Metrics metrics_of(const std::string& arch, const std::string& benchmark,
+                   const gpu::RunResult& run);
+
 /// Runs @p workload on @p spec under @p opts (opts.scale is ignored here —
 /// the workload is already built).
 Metrics run_one(const ArchSpec& spec, const workload::Workload& workload,
@@ -183,14 +192,19 @@ std::map<std::pair<std::string, std::string>, Metrics> load_cache(
 void save_cache(const std::string& path, double scale, const std::vector<Metrics>& rows,
                 const sttl2::FaultInjectionConfig& faults = {});
 
+/// Publishes @p db's rows for (scale, faults) as the v2 CSV at @p path,
+/// after folding in other processes' appends: the export run_matrix and the
+/// sweep service both write, in (arch, benchmark) order.
+void export_cache(store::ResultStore& db, const std::string& path, double scale,
+                  const sttl2::FaultInjectionConfig& faults);
+
 /// Index @p rows by benchmark for one architecture.
 std::map<std::string, Metrics> by_benchmark(const std::vector<Metrics>& rows,
                                             const std::string& arch);
 
-/// Metrics <-> store-row conversion (the store schema mirrors Metrics by
-/// value, not by type; see store/record.hpp). Shared by the matrix runner
-/// and the sweep service so both persist identical bytes.
-store::ResultRow to_store_row(const Metrics& m);
-Metrics from_store_row(const store::ResultRow& r);
+/// Identities since Metrics became store::ResultRow; bench/e2e is their
+/// last caller.
+inline store::ResultRow to_store_row(const Metrics& m) { return m; }
+inline Metrics from_store_row(const store::ResultRow& r) { return r; }
 
 }  // namespace sttgpu::sim

@@ -32,6 +32,13 @@ class TracingBank final : public gpu::L2Bank {
   }
   bool idle() const override { return inner_->idle(); }
   Cycle next_event_cycle() const override { return inner_->next_event_cycle(); }
+  void attach_telemetry(Telemetry* sink) override { inner_->attach_telemetry(sink); }
+  void sample_telemetry(Cycle now, Telemetry& out) override {
+    inner_->sample_telemetry(now, out);
+  }
+  void describe_state(std::ostream& os, Cycle now) const override {
+    inner_->describe_state(os, now);
+  }
   const gpu::L2BankStats& stats() const override { return inner_->stats(); }
   const power::EnergyLedger& energy() const override { return inner_->energy(); }
   Watt leakage_w() const override { return inner_->leakage_w(); }
@@ -140,41 +147,15 @@ ReplayResult replay_impl(const std::vector<TraceRecord>& records, FactoryT& fact
 
 Metrics record_trace(const ArchSpec& spec, const workload::Workload& workload,
                      const std::string& trace_path, const RunOptions& opts) {
-  // Run-mode knobs come from opts, exactly as in run_one (runner.cpp).
-  ArchSpec s = spec;
-  s.gpu.fast_forward = opts.fast_forward;
-  s.gpu.telemetry = opts.telemetry;
-  if (s.two_part) {
-    s.two_part_cfg.faults = opts.faults;
-  } else {
-    s.uniform.faults = opts.faults;
-  }
-
+  // Run-mode knobs and banks exactly as run_one builds them (runner.cpp).
+  const ArchSpec s = configured(spec, opts);
+  const std::unique_ptr<gpu::L2BankFactory> inner = make_factory(s);
   std::vector<TraceRecord> records;
-  std::unique_ptr<gpu::L2BankFactory> inner;
-  const Clock clock = s.gpu.clock();
-  if (s.two_part) {
-    inner = std::make_unique<sttl2::TwoPartBankFactory>(s.two_part_cfg, clock);
-  } else {
-    inner = std::make_unique<sttl2::UniformBankFactory>(s.uniform, clock);
-  }
   TracingFactory factory(*inner, &records);
   gpu::Gpu g(s.gpu, factory);
   const gpu::RunResult run = g.run(workload);
-
   save_trace(trace_path, records);
-
-  Metrics m;
-  m.arch = spec.name;
-  m.benchmark = workload.name;
-  m.ipc = run.ipc;
-  m.cycles = run.cycles;
-  m.leakage_w = run.l2_leakage_w;
-  m.dynamic_w = run.runtime_s > 0 ? run.l2_energy.total_pj() * 1e-12 / run.runtime_s : 0.0;
-  m.total_w = m.dynamic_w + m.leakage_w;
-  m.l2_write_share = run.l2.write_share();
-  m.l2_miss_rate = run.l2.miss_rate();
-  return m;
+  return metrics_of(s.name, workload.name, run);
 }
 
 void save_trace(const std::string& trace_path, const std::vector<TraceRecord>& records) {

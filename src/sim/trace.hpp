@@ -30,8 +30,9 @@ struct TraceRecord {
 
 /// Runs @p workload on @p spec while recording every L2 bank request to
 /// @p trace_path. Returns the run metrics (the recording adds no timing).
-/// Honours the run-mode knobs of @p opts (fast_forward, faults, telemetry);
-/// scale/cache/jobs/inspect are ignored.
+/// Honours the run-mode knobs of @p opts (fast_forward, faults, telemetry,
+/// cancel, heartbeat), as run_one does; scale/cache/jobs/inspect are
+/// ignored. A cancelled recording throws Cancelled and writes no trace.
 Metrics record_trace(const ArchSpec& spec, const workload::Workload& workload,
                      const std::string& trace_path, const RunOptions& opts = {});
 

@@ -13,29 +13,6 @@ namespace sttgpu::store {
 namespace {
 
 constexpr char kCacheMagic[] = "# sttgpu-cache v2";
-constexpr int kCacheFields = 9;
-
-std::optional<double> parse_double(const std::string& cell) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(cell, &pos);
-    if (pos != cell.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& cell) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(cell, &pos);
-    if (pos != cell.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
 
 std::vector<std::string> split_csv(const std::string& row) {
   std::vector<std::string> cells;
@@ -49,29 +26,16 @@ std::vector<std::string> split_csv(const std::string& row) {
 /// Parses one data row; nullopt (caller warns + skips) on any malformation.
 std::optional<ResultRow> parse_row(const std::string& row) {
   const std::vector<std::string> cells = split_csv(row);
-  if (cells.size() != kCacheFields) return std::nullopt;
+  if (cells.size() < 2) return std::nullopt;
   ResultRow m;
   m.arch = cells[0];
   m.benchmark = cells[1];
-  if (m.arch.empty() || m.benchmark.empty()) return std::nullopt;
-  const auto ipc = parse_double(cells[2]);
-  const auto cycles = parse_u64(cells[3]);
-  const auto dynamic_w = parse_double(cells[4]);
-  const auto leakage_w = parse_double(cells[5]);
-  const auto total_w = parse_double(cells[6]);
-  const auto write_share = parse_double(cells[7]);
-  const auto miss_rate = parse_double(cells[8]);
-  if (!ipc || !cycles || !dynamic_w || !leakage_w || !total_w || !write_share ||
-      !miss_rate) {
-    return std::nullopt;
-  }
-  m.ipc = *ipc;
-  m.cycles = *cycles;
-  m.dynamic_w = *dynamic_w;
-  m.leakage_w = *leakage_w;
-  m.total_w = *total_w;
-  m.write_share = *write_share;
-  m.miss_rate = *miss_rate;
+  bool ok = !m.arch.empty() && !m.benchmark.empty();
+  std::size_t i = 2;
+  for_each_value(m, [&](const char*, const char*, auto& v) {
+    ok = ok && i < cells.size() && parse_token(cells[i++], v);
+  });
+  if (!ok || i != cells.size()) return std::nullopt;
   return m;
 }
 
@@ -126,8 +90,8 @@ std::vector<ResultRow> read_csv_v2(const std::string& path, double scale,
     warn(log, "[cache] " + path + ": malformed v2 header — ignoring");
     return rows;
   }
-  const auto parsed_scale = parse_double(*file_scale);
-  if (!parsed_scale || *parsed_scale != scale) {
+  double parsed_scale = 0.0;
+  if (!parse_token(*file_scale, parsed_scale) || parsed_scale != scale) {
     warn(log, "[cache] " + path + ": written at scale=" + *file_scale +
                   ", requested scale=" + scale_text(scale) + " — ignoring stale cache");
     return rows;
@@ -179,11 +143,15 @@ void write_csv_v2(const std::string& path, double scale, std::uint64_t fingerpri
     out << std::setprecision(17);
     out << kCacheMagic << " scale=" << scale_text(scale)
         << " config=" << fingerprint_hex(fingerprint) << '\n';
-    out << "arch,benchmark,ipc,cycles,dynamic_w,leakage_w,total_w,write_share,miss_rate\n";
+    out << "arch,benchmark";
+    for_each_value(ResultRow{}, [&out](const char* column, const char*, const auto&) {
+      out << ',' << column;
+    });
+    out << '\n';
     for (const ResultRow& m : rows) {
-      out << m.arch << ',' << m.benchmark << ',' << m.ipc << ',' << m.cycles << ','
-          << m.dynamic_w << ',' << m.leakage_w << ',' << m.total_w << ','
-          << m.write_share << ',' << m.miss_rate << '\n';
+      out << m.arch << ',' << m.benchmark;
+      for_each_value(m, [&out](const char*, const char*, const auto& v) { out << ',' << v; });
+      out << '\n';
     }
   });
 }

@@ -4,6 +4,7 @@
 //   arch,benchmark,ipc,cycles,dynamic_w,leakage_w,total_w,write_share,miss_rate
 //   <rows ...>
 //
+// The columns after arch,benchmark are store::for_each_value's (record.hpp).
 // Since the WAL-backed ResultStore became the source of truth, CSV is the
 // *export* format: human-diffable, checked in (fig8_cache.csv), and the
 // one-time migration source for stores that do not exist yet. The header

@@ -50,76 +50,43 @@ std::string encode_put(std::uint64_t fingerprint, const std::string& scale17,
   std::ostringstream os;
   os << std::setprecision(17);
   os << "put " << fingerprint_hex(fingerprint) << ' ' << scale17 << ' ' << row.arch
-     << ' ' << row.benchmark << ' ' << row.ipc << ' ' << row.cycles << ' '
-     << row.dynamic_w << ' ' << row.leakage_w << ' ' << row.total_w << ' '
-     << row.write_share << ' ' << row.miss_rate;
+     << ' ' << row.benchmark;
+  for_each_value(row, [&os](const char*, const char*, const auto& v) { os << ' ' << v; });
   return os.str();
 }
 
-namespace {
-
-std::optional<double> parse_double_tok(const std::string& tok) {
+bool parse_token(const std::string& tok, double& out) {
   try {
     std::size_t pos = 0;
-    const double v = std::stod(tok, &pos);
-    if (pos != tok.size()) return std::nullopt;
-    return v;
+    out = std::stod(tok, &pos);
+    return pos == tok.size();
   } catch (const std::exception&) {
-    return std::nullopt;
+    return false;
   }
 }
 
-std::optional<std::uint64_t> parse_u64_tok(const std::string& tok, int base = 10) {
+bool parse_token(const std::string& tok, std::uint64_t& out, int base) {
   try {
     std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(tok, &pos, base);
-    if (pos != tok.size()) return std::nullopt;
-    return v;
+    out = std::stoull(tok, &pos, base);
+    return pos == tok.size();
   } catch (const std::exception&) {
-    return std::nullopt;
+    return false;
   }
 }
-
-}  // namespace
 
 std::optional<PutRecord> decode_put(std::string_view payload) {
   std::istringstream ss{std::string(payload)};
-  std::string tag;
-  ss >> tag;
-  if (tag != "put") return std::nullopt;
-  std::string fp_hex, scale17, arch, bench;
-  std::string ipc, cycles, dyn, leak, total, ws, mr;
-  ss >> fp_hex >> scale17 >> arch >> bench >> ipc >> cycles >> dyn >> leak >> total >>
-      ws >> mr;
-  if (!ss) return std::nullopt;
-  std::string extra;
-  if (ss >> extra) return std::nullopt;  // trailing junk
-
-  const auto fp = parse_u64_tok(fp_hex, 16);
-  const auto scale = parse_double_tok(scale17);
-  const auto v_ipc = parse_double_tok(ipc);
-  const auto v_cycles = parse_u64_tok(cycles);
-  const auto v_dyn = parse_double_tok(dyn);
-  const auto v_leak = parse_double_tok(leak);
-  const auto v_total = parse_double_tok(total);
-  const auto v_ws = parse_double_tok(ws);
-  const auto v_mr = parse_double_tok(mr);
-  if (!fp || !scale || !v_ipc || !v_cycles || !v_dyn || !v_leak || !v_total || !v_ws ||
-      !v_mr) {
-    return std::nullopt;
-  }
+  std::string tag, fp_hex, tok;
   PutRecord r;
-  r.fingerprint = *fp;
-  r.scale17 = scale17;
-  r.row.arch = arch;
-  r.row.benchmark = bench;
-  r.row.ipc = *v_ipc;
-  r.row.cycles = *v_cycles;
-  r.row.dynamic_w = *v_dyn;
-  r.row.leakage_w = *v_leak;
-  r.row.total_w = *v_total;
-  r.row.write_share = *v_ws;
-  r.row.miss_rate = *v_mr;
+  ss >> tag >> fp_hex >> r.scale17 >> r.row.arch >> r.row.benchmark;
+  double scale = 0.0;
+  bool ok = tag == "put" && static_cast<bool>(ss) && parse_token(fp_hex, r.fingerprint, 16) &&
+            parse_token(r.scale17, scale);
+  for_each_value(r.row, [&](const char*, const char*, auto& v) {
+    ok = ok && static_cast<bool>(ss >> tok) && parse_token(tok, v);
+  });
+  if (!ok || ss >> tok) return std::nullopt;  // malformed, or trailing junk
   return r;
 }
 

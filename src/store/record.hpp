@@ -18,23 +18,49 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace sttgpu::store {
 
-/// One persisted simulation result. Mirrors sim::Metrics deliberately *by
-/// value, not by type*: this is the on-disk schema, owned by the store
-/// module so the simulator can evolve its in-memory Metrics independently.
+/// One simulation result: the schema of a store record, a CSV row and a
+/// JSON metrics block alike (sim::Metrics is this type).
 struct ResultRow {
   std::string arch;       ///< config-label (architecture name, e.g. "C1")
   std::string benchmark;  ///< kernel/workload name (e.g. "bfs")
   double ipc = 0.0;
   std::uint64_t cycles = 0;
-  double dynamic_w = 0.0;
-  double leakage_w = 0.0;
+  double dynamic_w = 0.0;  ///< L2 dynamic power over the run
+  double leakage_w = 0.0;  ///< L2 leakage
   double total_w = 0.0;
-  double write_share = 0.0;
-  double miss_rate = 0.0;
+  double l2_write_share = 0.0;
+  double l2_miss_rate = 0.0;
 };
+
+/// Calls f(csv_column, json_key, value) for each value column of @p row, in
+/// schema order: the order of the CSV columns and of the numbers in a put
+/// payload. The one list of value columns; every encoder and decoder walks
+/// it. @p row may be const (encoders) or not (decoders fill it in place).
+template <typename Row, typename F>
+inline void for_each_value(Row&& row, F&& f) {
+  static_assert(std::is_same_v<std::remove_cvref_t<Row>, ResultRow>);
+  f("ipc", "ipc", row.ipc);
+  f("cycles", "cycles", row.cycles);
+  f("dynamic_w", "dynamic_w", row.dynamic_w);
+  f("leakage_w", "leakage_w", row.leakage_w);
+  f("total_w", "total_w", row.total_w);
+  f("write_share", "l2_write_share", row.l2_write_share);
+  f("miss_rate", "l2_miss_rate", row.l2_miss_rate);
+}
+
+// A field added to ResultRow without a column above fails here.
+static_assert(sizeof(ResultRow) ==
+                  2 * sizeof(std::string) + 6 * sizeof(double) + sizeof(std::uint64_t),
+              "ResultRow changed: update for_each_value, then this count");
+
+/// Parses the whole of @p tok as a number; false if any of it is not.
+/// (Leading whitespace is accepted, as std::stod/stoull accept it.)
+bool parse_token(const std::string& tok, double& out);
+bool parse_token(const std::string& tok, std::uint64_t& out, int base = 10);
 
 /// Canonical 17-significant-digit text form of a scale (or any double):
 /// the key uses the text form so exact-equality questions never touch

@@ -304,7 +304,7 @@ void ResultStore::apply_put_locked(const PutRecord& rec) {
   std::lock_guard<std::mutex> g(s.mu);
   ++applied_records_;
   const auto [it, inserted] =
-      s.map.insert_or_assign(key, Entry{rec.fingerprint, rec.scale17, rec.row});
+      s.map.insert_or_assign(key, rec);
   if (!inserted) ++dead_records_;
   if (on_apply_) on_apply_(rec);
 }
@@ -419,12 +419,12 @@ void ResultStore::quarantine_locked(const std::vector<Incident>& incidents) {
 }
 
 void ResultStore::compact_locked(const char* reason) {
-  std::vector<Entry> live;
+  std::vector<PutRecord> live;
   for (Shard& s : shards_) {
     std::lock_guard<std::mutex> g(s.mu);
     for (const auto& [key, e] : s.map) live.push_back(e);
   }
-  std::sort(live.begin(), live.end(), [](const Entry& a, const Entry& b) {
+  std::sort(live.begin(), live.end(), [](const PutRecord& a, const PutRecord& b) {
     if (a.fingerprint != b.fingerprint) return a.fingerprint < b.fingerprint;
     if (a.scale17 != b.scale17) return a.scale17 < b.scale17;
     if (a.row.arch != b.row.arch) return a.row.arch < b.row.arch;
@@ -434,7 +434,7 @@ void ResultStore::compact_locked(const char* reason) {
   const std::uint64_t before = log_size_locked();
   atomic_write_file(path_, [&](std::ostream& out) {
     out << frame_record(kMetaPayload);
-    for (const Entry& e : live) {
+    for (const PutRecord& e : live) {
       out << frame_record(encode_put(e.fingerprint, e.scale17, e.row));
     }
   });

@@ -133,15 +133,10 @@ class ResultStore {
   static FsckReport fsck(const std::string& path, StoreOptions opts = {});
 
  private:
-  struct Entry {
-    std::uint64_t fingerprint = 0;
-    std::string scale17;
-    ResultRow row;
-  };
   static constexpr std::size_t kShards = 16;
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, Entry> map;
+    std::unordered_map<std::string, PutRecord> map;
   };
   /// One quarantinable byte range found during a scan.
   struct Incident {

@@ -137,7 +137,7 @@ TEST(ServeSandbox, RowIsByteIdenticalToInProcessRun) {
 
   sim::RunOptions direct = job.base;
   const sim::Metrics m = sim::run_one(job.arch_id, job.bench, direct);
-  EXPECT_EQ(run.row_line, store::encode_put(job.fp, job.scale17, sim::to_store_row(m)));
+  EXPECT_EQ(run.row_line, store::encode_put(job.fp, job.scale17, m));
 }
 
 TEST(ServeSandbox, ShortRunPaysNoTimerWait) {

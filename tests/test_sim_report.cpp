@@ -23,7 +23,7 @@ Metrics sample_metrics() {
 
 TEST(Report, MetricsJsonHasAllFields) {
   std::ostringstream os;
-  write_metrics_json(os, sample_metrics());
+  write_matrix_json(os, {sample_metrics()});
   const std::string out = os.str();
   for (const char* field : {"\"arch\":\"C1\"", "\"benchmark\":\"bfs\"", "\"ipc\":2.5",
                             "\"cycles\":1000", "\"total_w\":0.5"}) {

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -240,7 +242,26 @@ TEST(Probe, UniformProbeCollectsWriteVariation) {
   EXPECT_GT(p.metrics.ipc, 0.0);
   EXPECT_GE(p.inter_set_cov, 0.0);
   EXPECT_GE(p.intra_set_cov, 0.0);
-  EXPECT_GT(p.write_share, 0.0);
+  EXPECT_GT(p.metrics.l2_write_share, 0.0);
+}
+
+/// Each value column of @p m as 17-digit text, keyed by its CSV name.
+std::map<std::string, std::string> value_columns(const Metrics& m) {
+  std::map<std::string, std::string> out;
+  store::for_each_value(m, [&out](const char* column, const char*, const auto& v) {
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    out[column] = os.str();
+  });
+  return out;
+}
+
+TEST(Probe, UniformProbeRowMatchesRunOne) {
+  // Same GpuConfig and bank config as the SRAM baseline, so the whole row,
+  // power columns included, must be run_one's.
+  const UniformProbe p = run_uniform("bfs", sram_bank_config(), 0.05);
+  const Metrics direct = run_one(Architecture::kSramBaseline, "bfs", {.scale = 0.05});
+  EXPECT_EQ(value_columns(p.metrics), value_columns(direct));
 }
 
 TEST(Probe, DefaultConfigsMatchArchRegistry) {

@@ -6,6 +6,9 @@
 #include <fstream>
 #include <string>
 
+#include "common/cancel.hpp"
+#include "common/telemetry.hpp"
+
 namespace sttgpu::sim {
 namespace {
 
@@ -61,6 +64,39 @@ TEST(Trace, RecordingMatchesTheRunDemand) {
   gpu::RunResult run;
   (void)run_one_detailed(spec, w, run);
   EXPECT_EQ(records.size(), run.l2.accesses());
+}
+
+TEST(Trace, CancelledRecordingThrowsAndWritesNoTrace) {
+  const TraceFile trace;
+  const ArchSpec spec = make_arch(Architecture::kSramBaseline);
+  const workload::Workload w = workload::make_benchmark("hotspot", 0.04);
+  CancelToken token;
+  token.request(CancelReason::kUser);
+  RunOptions opts;
+  opts.cancel = &token;
+  EXPECT_THROW((void)record_trace(spec, w, trace.path, opts), Cancelled);
+  EXPECT_FALSE(std::ifstream(trace.path).good());
+}
+
+TEST(Trace, RecordingTelemetryMatchesARun) {
+  const TraceFile trace;
+  const ArchSpec spec = make_arch(Architecture::kC1);
+  const workload::Workload w = workload::make_benchmark("bfs", 0.05);
+  Telemetry recorded(2000), ran(2000);
+  (void)record_trace(spec, w, trace.path, {.telemetry = &recorded});
+  (void)run_one(spec, w, {.telemetry = &ran});
+
+  ASSERT_EQ(recorded.track_count(), ran.track_count());
+  for (std::size_t t = 0; t < ran.track_count(); ++t) {
+    EXPECT_EQ(recorded.track_name(t), ran.track_name(t));
+    EXPECT_EQ(recorded.track_samples(t), ran.track_samples(t)) << ran.track_name(t);
+  }
+  ASSERT_EQ(recorded.frame_count(), ran.frame_count());
+  for (std::size_t f = 0; f < ran.frame_count(); ++f) {
+    EXPECT_EQ(recorded.frame_cycle(f), ran.frame_cycle(f));
+  }
+  EXPECT_EQ(recorded.slice_count(), ran.slice_count());
+  EXPECT_EQ(recorded.instant_count(), ran.instant_count());
 }
 
 TEST(Trace, ReplayReproducesHitStatistics) {

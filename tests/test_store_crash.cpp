@@ -41,8 +41,8 @@ ResultRow row_for_index(int i) {
   r.dynamic_w = 0.5 + 0.01 * i;
   r.leakage_w = 0.1;
   r.total_w = r.dynamic_w + r.leakage_w;
-  r.write_share = 0.25;
-  r.miss_rate = 0.125;
+  r.l2_write_share = 0.25;
+  r.l2_miss_rate = 0.125;
   return r;
 }
 

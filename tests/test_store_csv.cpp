@@ -8,10 +8,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
+#include "sim/report.hpp"
+#include "sim/runner.hpp"
 
 namespace sttgpu::store {
 namespace {
@@ -27,8 +30,8 @@ ResultRow sample_row() {
   r.dynamic_w = 0.5;
   r.leakage_w = 0.1;
   r.total_w = 0.6;
-  r.write_share = 0.4;
-  r.miss_rate = 0.2;
+  r.l2_write_share = 0.4;
+  r.l2_miss_rate = 0.2;
   return r;
 }
 
@@ -113,6 +116,96 @@ TEST(StoreCsv, MalformedRowsAreSkippedAndSummarized) {
   EXPECT_EQ(rows[0].arch, "C1");
   EXPECT_FALSE(log.lines.empty());
   std::remove(path.c_str());
+}
+
+TEST(StoreCsv, CheckedInFig8CacheRoundTripsByteForByte) {
+  const std::string checked_in = std::string(STTGPU_SOURCE_DIR) + "/fig8_cache.csv";
+  const std::uint64_t fp = sim::config_fingerprint();
+  LogCapture log;
+  const std::vector<ResultRow> rows = read_csv_v2(checked_in, 0.5, fp, log.fn());
+  // The whole matrix (80 rows) is current: the header's scale and config
+  // fingerprint match this simulator, and no row is malformed.
+  EXPECT_TRUE(log.lines.empty()) << log.lines.front();
+  ASSERT_EQ(rows.size(), sim::all_architectures().size() * workload::benchmark_names().size());
+
+  const std::string path = "test_store_csv_fig8.csv";
+  write_csv_v2(path, 0.5, fp, rows);
+  EXPECT_EQ(slurp(path), slurp(checked_in));
+  std::remove(path.c_str());
+
+  for (const ResultRow& r : rows) {
+    const std::string payload = encode_put(fp, 0.5, r);
+    const auto dec = decode_put(payload);
+    ASSERT_TRUE(dec.has_value()) << payload;
+    EXPECT_EQ(encode_put(dec->fingerprint, dec->scale17, dec->row), payload);
+  }
+}
+
+/// The data line write_csv_v2 writes for @p row (the file's third line), and
+/// the row read_csv_v2 reads back from that file.
+std::pair<std::string, ResultRow> csv_round_trip(const ResultRow& row) {
+  const std::string path = "test_store_csv_column.csv";
+  write_csv_v2(path, 0.5, kFp, {row});
+  std::istringstream text(slurp(path));
+  std::string line;
+  for (int i = 0; i < 3; ++i) std::getline(text, line);
+  const std::vector<ResultRow> back = read_csv_v2(path, 0.5, kFp, nullptr);
+  std::remove(path.c_str());
+  return {line, back.size() == 1 ? back[0] : ResultRow{}};
+}
+
+std::string matrix_json(const ResultRow& row) {
+  std::ostringstream os;
+  sim::write_matrix_json(os, {row});
+  return os.str();
+}
+
+TEST(StoreCsv, EveryValueColumnReachesEveryEncoding) {
+  const ResultRow base = sample_row();
+  const std::string base_put = encode_put(kFp, 0.5, base);
+  const std::string base_csv = csv_round_trip(base).first;
+  const std::string base_json = matrix_json(base);
+  // sample_row() names each field, so these pin which column and which
+  // JSON key carries which field.
+  EXPECT_EQ(base_csv,
+            "C1,bfs,0.33333333333333331,123456,0.5,0.10000000000000001,"
+            "0.59999999999999998,0.40000000000000002,0.20000000000000001");
+  EXPECT_EQ(base_put,
+            "put d180d94558f98587 0.5 C1 bfs 0.33333333333333331 123456 0.5 "
+            "0.10000000000000001 0.59999999999999998 0.40000000000000002 "
+            "0.20000000000000001");
+  EXPECT_EQ(base_json,
+            "{\"runs\":[{\"arch\":\"C1\",\"benchmark\":\"bfs\",\"ipc\":0.333333,"
+            "\"cycles\":123456,\"dynamic_w\":0.5,\"leakage_w\":0.1,\"total_w\":0.6,"
+            "\"l2_write_share\":0.4,\"l2_miss_rate\":0.2}]}");
+  std::size_t columns = 0;
+  for_each_value(base, [&columns](const char*, const char*, const auto&) { ++columns; });
+  ASSERT_EQ(columns, 7u);
+
+  for (std::size_t k = 0; k < columns; ++k) {
+    ResultRow changed = base;
+    std::string column;
+    std::size_t i = 0;
+    for_each_value(changed, [&](const char* name, const char*, auto& v) {
+      if (i++ != k) return;
+      v = v * 2 + 1;
+      column = name;
+    });
+    SCOPED_TRACE(column);
+
+    // The 17-digit payload is exact, so equal payloads mean equal rows.
+    const std::string put = encode_put(kFp, 0.5, changed);
+    EXPECT_NE(put, base_put);
+    const auto dec = decode_put(put);
+    ASSERT_TRUE(dec.has_value()) << put;
+    EXPECT_EQ(encode_put(kFp, 0.5, dec->row), put);
+
+    const auto [csv_line, csv_back] = csv_round_trip(changed);
+    EXPECT_NE(csv_line, base_csv);
+    EXPECT_EQ(encode_put(kFp, 0.5, csv_back), put);
+
+    EXPECT_NE(matrix_json(changed), base_json);
+  }
 }
 
 // --- atomic_write_file failure semantics ------------------------------------

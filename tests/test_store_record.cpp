@@ -19,8 +19,8 @@ ResultRow sample_row() {
   r.dynamic_w = 0.5;
   r.leakage_w = 0.1;
   r.total_w = 0.6;
-  r.write_share = 0.4;
-  r.miss_rate = 0.2;
+  r.l2_write_share = 0.4;
+  r.l2_miss_rate = 0.2;
   return r;
 }
 
@@ -74,8 +74,8 @@ TEST(StoreRecord, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(dec->row.dynamic_w, row.dynamic_w);
   EXPECT_EQ(dec->row.leakage_w, row.leakage_w);
   EXPECT_EQ(dec->row.total_w, row.total_w);
-  EXPECT_EQ(dec->row.write_share, row.write_share);
-  EXPECT_EQ(dec->row.miss_rate, row.miss_rate);
+  EXPECT_EQ(dec->row.l2_write_share, row.l2_write_share);
+  EXPECT_EQ(dec->row.l2_miss_rate, row.l2_miss_rate);
   // Re-encoding the decoded record (compaction's path) is byte-identical.
   EXPECT_EQ(encode_put(dec->fingerprint, dec->scale17, dec->row), payload);
 }

@@ -33,8 +33,8 @@ ResultRow row(const std::string& arch, const std::string& bench, double ipc) {
   r.dynamic_w = 0.5;
   r.leakage_w = 0.1;
   r.total_w = 0.6;
-  r.write_share = 0.4;
-  r.miss_rate = 0.2;
+  r.l2_write_share = 0.4;
+  r.l2_miss_rate = 0.2;
   return r;
 }
 

@@ -261,6 +261,16 @@ int cmd_run(const Config& cfg) {
   return kExitOk;
 }
 
+/// The arch/benchmark/IPC/power table of `matrix`, `submit` and `result`.
+void print_rows_table(const std::vector<sim::Metrics>& rows) {
+  TextTable table({"arch", "benchmark", "IPC", "dyn W", "total W"});
+  for (const auto& m : rows) {
+    table.add_row({m.arch, m.benchmark, TextTable::fmt(m.ipc, 3),
+                   TextTable::fmt(m.dynamic_w, 3), TextTable::fmt(m.total_w, 3)});
+  }
+  table.print(std::cout);
+}
+
 int cmd_matrix(const Config& cfg) {
   constexpr auto kCmd = sim::kKnobMatrix;
   sim::validate_knobs(cfg, kCmd, "matrix");
@@ -279,13 +289,7 @@ int cmd_matrix(const Config& cfg) {
   sim::SupervisedResult report;
   opts.report = &report;
   const auto rows = sim::run_matrix(sim::all_architectures(), opts);
-
-  TextTable table({"arch", "benchmark", "IPC", "dyn W", "total W"});
-  for (const auto& m : rows) {
-    table.add_row({m.arch, m.benchmark, TextTable::fmt(m.ipc, 3),
-                   TextTable::fmt(m.dynamic_w, 3), TextTable::fmt(m.total_w, 3)});
-  }
-  table.print(std::cout);
+  print_rows_table(rows);
 
   if (cfg.has("json")) {
     atomic_write_file(sim::knob_string(cfg, kCmd, "json"), [&rows](std::ostream& out) {
@@ -492,20 +496,11 @@ std::vector<sim::Metrics> rows_from_response(const JsonValue& response) {
   const JsonValue* arr = response.find("rows");
   if (arr == nullptr) return rows;
   for (std::size_t i = 0; i < arr->size(); ++i) {
-    const auto rec = store::decode_put(arr->at(i).as_string());
+    auto rec = store::decode_put(arr->at(i).as_string());
     STTGPU_REQUIRE(rec.has_value(), "server sent an undecodable result row");
-    rows.push_back(sim::from_store_row(rec->row));
+    rows.push_back(std::move(rec->row));
   }
   return rows;
-}
-
-void print_rows_table(const std::vector<sim::Metrics>& rows) {
-  TextTable table({"arch", "benchmark", "IPC", "dyn W", "total W"});
-  for (const auto& m : rows) {
-    table.add_row({m.arch, m.benchmark, TextTable::fmt(m.ipc, 3),
-                   TextTable::fmt(m.dynamic_w, 3), TextTable::fmt(m.total_w, 3)});
-  }
-  table.print(std::cout);
 }
 
 /// Follows a submission's event stream, narrating progress to stderr.
