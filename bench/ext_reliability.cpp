@@ -5,11 +5,13 @@
 // refresh. This bench closes the loop quantitatively: it feeds each
 // benchmark's *measured* LR rewrite-interval distribution (Fig. 6 data)
 // into the Néel–Arrhenius decay model and reports the expected number of
-// early-collapse events per run — with refresh (the real design), without
-// refresh (naive low-retention), and for a hypothetical 5us part.
+// early-collapse events per run at 10x, 100x and 1000x retention guard
+// bands, with refresh bounding every decay window (the real design).
 //
 //   ./ext_reliability [scale=0.4]
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/table.hpp"
@@ -33,7 +35,9 @@ int main(int argc, char** argv) {
                "the quoted deadline, bounding every decay window.\n\n";
 
   TextTable table({"benchmark", "lifetimes", "margin 10x", "margin 100x", "margin 1000x"});
-  for (const std::string& name : workload::benchmark_names()) {
+  const std::vector<std::string> names = workload::benchmark_names();
+  int over_one_100x = 0, over_one_1000x = 0;  // benchmarks expecting > 1 collapse
+  for (const std::string& name : names) {
     const sim::TwoPartProbe p = sim::run_two_part(name, sim::c1_bank_config(), scale);
     if (p.lr_intervals == 0) {
       table.add_row({name, "0", "-", "-", "-"});
@@ -44,19 +48,28 @@ int main(int argc, char** argv) {
                                         margin)
           .expected_failures;
     };
+    const double at_100x = at(100.0, refresh_s);
+    const double at_1000x = at(1000.0, refresh_s);
+    over_one_100x += at_100x > 1.0;
+    over_one_1000x += at_1000x > 1.0;
     table.add_row({name, std::to_string(p.lr_intervals),
-                   TextTable::fmt(at(10.0, refresh_s), 3),
-                   TextTable::fmt(at(100.0, refresh_s), 4),
-                   TextTable::fmt(at(1000.0, refresh_s), 5)});
+                   TextTable::fmt(at(10.0, refresh_s), 3), TextTable::fmt(at_100x, 4),
+                   TextTable::fmt(at_1000x, 5)});
   }
   table.print(std::cout);
 
   std::cout << "\nReading: expected failures fall ~linearly with the device guard\n"
                "band, and refresh bounds every decay window at one counter tick\n"
                "before the deadline (lines never rewritten are refreshed or, at\n"
-               "worst, written back — see the refresh_forced_wb counters). With\n"
-               "the ~100x margins typical of published multi-retention designs\n"
-               "the per-run failure expectation is <<1 — the quantitative form\n"
-               "of the paper's 'low retention suffices for the WWS' argument.\n";
+               "worst, written back — see the refresh_forced_wb counters). Refresh\n"
+               "does not make collapses rare: at the ~100x margins typical of\n"
+               "published multi-retention designs, "
+            << over_one_100x << " of " << names.size()
+            << " benchmarks expect more\n"
+               "than one collapse per run, and "
+            << over_one_1000x
+            << " still do at 1000x. The paper's\n"
+               "'early data bit collapse' concern is real for the LR part; what\n"
+               "ECC and clean re-fetch recover is measured by faults=1 runs.\n";
   return 0;
 }

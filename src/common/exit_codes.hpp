@@ -13,7 +13,7 @@ inline constexpr int kExitWatchdog = 4;     ///< watchdog / per-job timeout kill
 inline constexpr int kExitQuarantine = 5;   ///< store fsck: unacknowledged quarantine
 inline constexpr int kExitBind = 6;         ///< serve: cannot bind the socket/port
 inline constexpr int kExitProtocol = 7;     ///< client/server protocol version mismatch
-inline constexpr int kExitOverloaded = 8;   ///< submission shed by admission control
+// 8 is retired (was: submission shed by admission control); never reuse it.
 inline constexpr int kExitJournal = 9;      ///< serve: submission journal unusable
 
 }  // namespace sttgpu

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <sstream>
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,11 +31,6 @@ bool read_exact(int fd, void* buf, std::size_t n) {
     const ssize_t k = ::read(fd, p + got, n - got);
     if (k < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired: the peer stalled mid-frame. The server uses
-        // this to bound how long a wedged client can pin a handler thread.
-        throw SimError("peer stalled mid-frame (receive timeout)");
-      }
       throw SimError(std::string("socket read failed: ") + std::strerror(errno));
     }
     if (k == 0) {
@@ -47,21 +41,6 @@ bool read_exact(int fd, void* buf, std::size_t n) {
     got += static_cast<std::size_t>(k);
   }
   return true;
-}
-
-bool wait_readable(int fd, int timeout_ms) {
-  const bool forever = timeout_ms < 0;
-  for (;;) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, forever ? -1 : timeout_ms);
-    if (rc > 0) return true;
-    if (rc == 0) return false;
-    if (errno != EINTR) {
-      throw SimError(std::string("poll failed: ") + std::strerror(errno));
-    }
-    // EINTR: restart. Deadline precision under signal storms is not worth
-    // tracking a clock here — callers treat the timeout as approximate.
-  }
 }
 
 void write_frame(int fd, std::string_view payload) {
@@ -122,19 +101,6 @@ std::string error_response(const std::string& message, bool protocol_mismatch) {
   return os.str();
 }
 
-std::string overloaded_response(const std::string& message, std::int64_t retry_after_ms) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  w.key("protocol_version").value(kProtocolVersion);
-  w.key("ok").value(false);
-  w.key("kind").value("overloaded");
-  w.key("error").value(message);
-  w.key("retry_after_ms").value(retry_after_ms);
-  w.end_object();
-  return os.str();
-}
-
 void require_version(const JsonValue& request) {
   const JsonValue* v = request.find("protocol_version");
   if (v == nullptr) {
@@ -161,10 +127,6 @@ void check_response(const JsonValue& response) {
   const std::string msg = err != nullptr ? err->as_string() : "unspecified server error";
   const JsonValue* kind = response.find("kind");
   if (kind != nullptr && kind->as_string() == "protocol") throw ProtocolMismatch(msg);
-  if (kind != nullptr && kind->as_string() == "overloaded") {
-    const JsonValue* after = response.find("retry_after_ms");
-    throw Overloaded(msg, after != nullptr ? after->as_int() : 1000);
-  }
   throw SimError(msg);
 }
 

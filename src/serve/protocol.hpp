@@ -12,7 +12,8 @@
 // cannot make the peer allocate unbounded memory. Every request and every
 // response carries "protocol_version": an incompatible peer is refused with
 // a "protocol" error the CLI maps to its own exit code instead of
-// misinterpreting fields.
+// misinterpreting fields. An error response's "kind" is "protocol" or
+// "error"; version 3 dropped the admission-control shedding kind.
 //
 // A connection carries exactly one request/response exchange. The `watch`
 // verb extends the exchange: after the framed acknowledgement the server
@@ -41,7 +42,7 @@ namespace sttgpu::serve {
 
 /// Bumped on any incompatible wire change. Both sides send it; both sides
 /// refuse a mismatch (ProtocolMismatch / a "protocol" error response).
-inline constexpr std::int64_t kProtocolVersion = 2;
+inline constexpr std::int64_t kProtocolVersion = 3;
 
 /// Frame header magic ("SWeep Protocol 1", framing version — independent of
 /// kProtocolVersion, which governs the JSON inside).
@@ -65,19 +66,6 @@ class ProtocolMismatch : public SimError {
   using SimError::SimError;
 };
 
-/// The server shed a submission because its admission queue is full. Carries
-/// the server's backoff hint; the CLI retries with jitter and maps an
-/// exhausted retry budget to exit code 8.
-class Overloaded : public SimError {
- public:
-  Overloaded(const std::string& what, std::int64_t retry_after_ms)
-      : SimError(what), retry_after_ms_(retry_after_ms) {}
-  std::int64_t retry_after_ms() const noexcept { return retry_after_ms_; }
-
- private:
-  std::int64_t retry_after_ms_;
-};
-
 // --- EINTR-safe socket I/O -------------------------------------------------
 
 /// Writes all @p n bytes, retrying short writes and EINTR. Throws SimError
@@ -86,14 +74,7 @@ void write_all(int fd, const void* buf, std::size_t n);
 
 /// Reads exactly @p n bytes. Returns false on clean EOF before the first
 /// byte; throws SimError on an error or an EOF mid-buffer (torn frame).
-/// A receive timeout (SO_RCVTIMEO expiring mid-frame) is reported as a
-/// "stalled mid-frame" SimError rather than a raw errno.
 bool read_exact(int fd, void* buf, std::size_t n);
-
-/// Polls @p fd for readability. True when at least one byte (or EOF) is
-/// ready within @p timeout_ms; false on timeout. EINTR restarts the wait
-/// with the remaining budget. timeout_ms < 0 waits forever.
-bool wait_readable(int fd, int timeout_ms);
 
 // --- framing ---------------------------------------------------------------
 
@@ -115,18 +96,13 @@ void write_event_line(int fd, std::string_view line);
 /// "error":<msg>,"kind":<"protocol"|"error">}.
 std::string error_response(const std::string& message, bool protocol_mismatch = false);
 
-/// Serialized admission-control shed: {"protocol_version":N,"ok":false,
-/// "kind":"overloaded","error":<msg>,"retry_after_ms":<hint>}.
-std::string overloaded_response(const std::string& message, std::int64_t retry_after_ms);
-
 /// Server side: verifies a parsed request's protocol_version. Throws
 /// ProtocolMismatch naming both versions when absent or different.
 void require_version(const JsonValue& request);
 
 /// Client side: checks a parsed response envelope. Throws ProtocolMismatch
-/// for kind=="protocol" (and for version mismatches), Overloaded for
-/// kind=="overloaded" (with the server's retry_after_ms hint), SimError for
-/// any other ok=false, and returns normally for ok=true.
+/// for kind=="protocol" (and for version mismatches), SimError for any other
+/// ok=false, and returns normally for ok=true.
 void check_response(const JsonValue& response);
 
 }  // namespace sttgpu::serve

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -15,7 +16,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -23,8 +23,6 @@
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/stats.hpp"
-#include "serve/fair_queue.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/sandbox.hpp"
@@ -55,18 +53,6 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 int close_quiet(int fd) noexcept { return fd >= 0 ? ::close(fd) : 0; }
-
-/// Fairness identity of a connection, keyed by SO_PEERCRED (uid + pid: one
-/// greedy *process* cannot starve the rest).
-std::string peer_identity(int fd) {
-  ucred cred{};
-  socklen_t len = sizeof cred;
-  if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &len) == 0 &&
-      len == sizeof cred) {
-    return "uid:" + std::to_string(cred.uid) + "/pid:" + std::to_string(cred.pid);
-  }
-  return "peer:unknown";
-}
 
 /// Deterministic JSON of a validated knob set (sorted keys, string values) —
 /// the journal's record of an acknowledged submission.
@@ -129,19 +115,14 @@ struct SweepServer::Impl {
   std::uint64_t next_id = 1;
   std::map<std::uint64_t, Submission> submissions;
   std::map<std::string, std::shared_ptr<Task>> inflight;  ///< key → task
-  FairQueue<std::shared_ptr<Task>> queue;  ///< per-client round-robin
+  std::deque<std::shared_ptr<Task>> queue;  ///< FIFO, one local user
   std::set<int> conns;  ///< open connection fds (shutdown on stop)
 
   // Monotonic counters (mu-free reads for the on_apply hook).
   std::atomic<std::uint64_t> n_submissions{0}, n_simulated{0}, n_failed{0},
       n_store_hits{0}, n_attached{0}, n_applied{0}, n_own_puts{0};
-  std::atomic<std::uint64_t> n_shed{0}, n_child_kills{0}, n_child_crashes{0},
-      n_retries{0}, n_replayed{0};
-
-  // Interned connection counters (mu held). One slot today; the intern
-  // call in the initializer keeps additions one-liners.
-  CounterSet conn_counters;
-  CounterId read_drop_counter = conn_counters.intern("serve.read_deadline_drops");
+  std::atomic<std::uint64_t> n_child_kills{0}, n_child_crashes{0}, n_retries{0},
+      n_replayed{0};
 
   std::thread accept_thread;
   std::vector<std::thread> worker_threads;
@@ -383,9 +364,9 @@ struct SweepServer::Impl {
       {
         std::unique_lock<std::mutex> lk(mu);
         cv_queue.wait(lk, [this] { return stopping || !queue.empty(); });
-        std::optional<std::shared_ptr<Task>> popped = queue.pop();
-        if (!popped) return;  // stopping and drained
-        t = std::move(*popped);
+        if (queue.empty()) return;  // stopping and drained
+        t = std::move(queue.front());
+        queue.pop_front();
         if (t->waiters.empty()) {
           // Every submitter cancelled before the task started; nothing to
           // report to and nothing worth simulating.
@@ -415,25 +396,16 @@ struct SweepServer::Impl {
     return cfg;
   }
 
-  /// Backpressure hint for shed submissions: scale with how much queued work
-  /// each worker already owns, clamped to something a human would wait.
-  std::int64_t retry_after_ms_locked() const {
-    const std::size_t per_worker = queue.size() / std::max(1u, workers);
-    const std::int64_t ms = 250 + static_cast<std::int64_t>(per_worker) * 250;
-    return std::min<std::int64_t>(ms, 30000);
-  }
-
   struct SubmitOutcome {
     std::uint64_t id = 0;
     std::size_t total = 0, hits = 0, scheduled = 0, attached = 0;
   };
 
   /// The submit core, shared by the `submit` verb and journal replay.
-  /// @p client keys the fair-queue lane; @p forced_id reuses a journaled id
-  /// (0 = allocate); @p recovered marks a replay — exempt from admission
-  /// control and from re-journaling (its record is already on disk).
-  SubmitOutcome submit_config(const Config& cfg, const std::string& client,
-                              std::uint64_t forced_id, bool recovered) {
+  /// @p forced_id reuses a journaled id (0 = allocate); @p recovered marks a
+  /// replay, which is not journaled again (its record is already on disk).
+  SubmitOutcome submit_config(const Config& cfg, std::uint64_t forced_id,
+                              bool recovered) {
     constexpr auto kCmd = sim::kKnobSubmit;
     const sim::RunOptions base = sim::run_options_from_knobs(cfg, kCmd);
     const bool want_telemetry = sim::knob_bool(cfg, kCmd, "telemetry");
@@ -473,36 +445,6 @@ struct SweepServer::Impl {
     {
       std::lock_guard<std::mutex> lk(mu);
       STTGPU_REQUIRE(!stopping, "server is draining — submission refused");
-
-      // Counting pass: decide, under the same lock the mutation pass will
-      // hold, how many fresh tasks this submission would enqueue — the
-      // admission decision and the later mutation always agree.
-      std::size_t would_schedule = 0, would_attach = 0;
-      for (const sim::Architecture a : archs) {
-        const std::string arch_name = sim::make_arch(a).name;
-        for (const std::string& bench : benchmarks) {
-          const std::string key = store::store_key(fp, scale17, arch_name, bench);
-          if (inflight.find(key) != inflight.end()) {
-            ++would_attach;
-          } else if (!store->get(fp, base.scale, arch_name, bench)) {
-            ++would_schedule;
-          }
-        }
-      }
-
-      // Admission control. Replays are exempt: they were acknowledged in a
-      // previous life and shedding them would break the journal's promise.
-      if (!recovered && opts.max_queue > 0 &&
-          queue.size() + would_schedule > opts.max_queue) {
-        n_shed.fetch_add(1, std::memory_order_relaxed);
-        say("submission shed: queue " + std::to_string(queue.size()) + " + " +
-            std::to_string(would_schedule) + " new > max_queue " +
-            std::to_string(opts.max_queue) + " (client " + client + ")");
-        throw Overloaded("server overloaded: queue of " + std::to_string(queue.size()) +
-                             " task(s) cannot admit " + std::to_string(would_schedule) +
-                             " more (max_queue=" + std::to_string(opts.max_queue) + ")",
-                         retry_after_ms_locked());
-      }
 
       out.id = forced_id != 0 ? forced_id : next_id++;
       if (forced_id >= next_id) next_id = forced_id + 1;
@@ -555,7 +497,7 @@ struct SweepServer::Impl {
           t->job.interval = static_cast<Cycle>(interval);
           t->waiters.push_back(out.id);
           inflight.emplace(key, t);
-          queue.push(client, std::move(t));
+          queue.push_back(std::move(t));
           sub.pending.insert(key);
           ++out.scheduled;
         }
@@ -592,10 +534,9 @@ struct SweepServer::Impl {
     return out;
   }
 
-  std::string handle_submit(const JsonValue& req, const std::string& client) {
+  std::string handle_submit(const JsonValue& req) {
     const Config cfg = options_config(req, sim::kKnobSubmit, "submit");
-    const SubmitOutcome out = submit_config(cfg, client, /*forced_id=*/0,
-                                            /*recovered=*/false);
+    const SubmitOutcome out = submit_config(cfg, /*forced_id=*/0, /*recovered=*/false);
     std::ostringstream os;
     JsonWriter w(os);
     w.begin_object();
@@ -624,7 +565,7 @@ struct SweepServer::Impl {
         const JsonValue opts_json = parse_json(p.options_json);
         Config cfg = sim::config_from_json(opts_json);
         sim::validate_knobs(cfg, sim::kKnobSubmit, "submit");
-        submit_config(cfg, "journal-replay", p.id, /*recovered=*/true);
+        submit_config(cfg, p.id, /*recovered=*/true);
         n_replayed.fetch_add(1, std::memory_order_relaxed);
       } catch (const std::exception& e) {
         // A record this build cannot parse any more (or a submit that now
@@ -649,7 +590,6 @@ struct SweepServer::Impl {
     s.merged_rows = applied > own ? applied - own : 0;
     s.store_rows = store->size();
     s.workers = workers;
-    s.shed = n_shed.load(std::memory_order_relaxed);
     s.child_kills = n_child_kills.load(std::memory_order_relaxed);
     s.child_crashes = n_child_crashes.load(std::memory_order_relaxed);
     s.task_retries = n_retries.load(std::memory_order_relaxed);
@@ -666,7 +606,6 @@ struct SweepServer::Impl {
     s.queued = queue.size();
     s.inflight = inflight.size();
     s.connections = conn_live.size();
-    s.read_deadline_drops = conn_counters.at(read_drop_counter);
     return s;
   }
 
@@ -688,8 +627,6 @@ struct SweepServer::Impl {
     w.key("tasks_failed").value(s.tasks_failed);
     w.key("store_hits").value(s.store_hits);
     w.key("attached").value(s.attached);
-    w.key("shed").value(s.shed);
-    w.key("read_deadline_drops").value(s.read_deadline_drops);
     w.key("child_kills").value(s.child_kills);
     w.key("child_crashes").value(s.child_crashes);
     w.key("task_retries").value(s.task_retries);
@@ -892,57 +829,33 @@ struct SweepServer::Impl {
 
   // --- connection handling -------------------------------------------------
 
-  void handle_connection(int fd, const std::string& client) {
-    bool dropped = false;
+  void handle_connection(int fd) {
     try {
-      if (opts.read_deadline_s > 0.0) {
-        // Pre-frame deadline: a client that connects and says nothing
-        // releases this thread instead of holding it forever.
-        const int ms = static_cast<int>(opts.read_deadline_s * 1000.0);
-        if (!wait_readable(fd, ms)) {
-          dropped = true;
+      const std::optional<std::string> payload = read_frame(fd);
+      if (payload) {
+        if (payload->empty()) {
+          throw ProtocolMismatch("zero-length request frame");
+        }
+        const JsonValue req = parse_json(*payload);
+        require_version(req);
+        const std::string verb = req.at("verb").as_string();
+        if (verb == "watch") {
+          handle_watch(fd, req);
+        } else if (verb == "submit") {
+          write_frame(fd, handle_submit(req));
+        } else if (verb == "status") {
+          write_frame(fd, handle_status(req));
+        } else if (verb == "cancel") {
+          write_frame(fd, handle_cancel(req));
+        } else if (verb == "result") {
+          write_frame(fd, handle_result(req));
+        } else if (verb == "health") {
+          write_frame(fd, handle_health());
         } else {
-          // Mid-frame stalls are bounded by the socket receive timeout;
-          // read_exact turns EAGAIN into a clean "peer stalled" error.
-          timeval tv{};
-          tv.tv_sec = static_cast<time_t>(opts.read_deadline_s);
-          tv.tv_usec = static_cast<suseconds_t>(
-              (opts.read_deadline_s - static_cast<double>(tv.tv_sec)) * 1e6);
-          ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+          throw SimError("unknown verb '" + verb +
+                         "' (expected submit, status, watch, cancel, result or "
+                         "health)");
         }
-      }
-      if (!dropped) {
-        const std::optional<std::string> payload = read_frame(fd);
-        if (payload) {
-          if (payload->empty()) {
-            throw ProtocolMismatch("zero-length request frame");
-          }
-          const JsonValue req = parse_json(*payload);
-          require_version(req);
-          const std::string verb = req.at("verb").as_string();
-          if (verb == "watch") {
-            handle_watch(fd, req);
-          } else if (verb == "submit") {
-            write_frame(fd, handle_submit(req, client));
-          } else if (verb == "status") {
-            write_frame(fd, handle_status(req));
-          } else if (verb == "cancel") {
-            write_frame(fd, handle_cancel(req));
-          } else if (verb == "result") {
-            write_frame(fd, handle_result(req));
-          } else if (verb == "health") {
-            write_frame(fd, handle_health());
-          } else {
-            throw SimError("unknown verb '" + verb +
-                           "' (expected submit, status, watch, cancel, result or "
-                           "health)");
-          }
-        }
-      }
-    } catch (const Overloaded& e) {
-      try {
-        write_frame(fd, overloaded_response(e.what(), e.retry_after_ms()));
-      } catch (...) {
       }
     } catch (const ProtocolMismatch& e) {
       try {
@@ -958,11 +871,6 @@ struct SweepServer::Impl {
     {
       std::lock_guard<std::mutex> lk(mu);
       conns.erase(fd);
-      if (dropped) {
-        ++conn_counters.at(read_drop_counter);
-        say("dropped silent connection (client " + client + ", no request within " +
-            std::to_string(opts.read_deadline_s) + "s)");
-      }
     }
     close_quiet(fd);
   }
@@ -1002,7 +910,6 @@ struct SweepServer::Impl {
       if (::poll(&pfd, 1, /*ms=*/200) <= 0) continue;
       const int conn = ::accept(unix_fd, nullptr, nullptr);
       if (conn < 0) continue;
-      const std::string client = peer_identity(conn);
       std::lock_guard<std::mutex> lk(mu);
       if (stopping) {
         close_quiet(conn);
@@ -1010,8 +917,8 @@ struct SweepServer::Impl {
       }
       conns.insert(conn);
       const std::uint64_t token = next_conn_token++;
-      conn_live.emplace(token, std::thread([this, conn, client, token] {
-                          handle_connection(conn, client);
+      conn_live.emplace(token, std::thread([this, conn, token] {
+                          handle_connection(conn);
                           finish_conn(token);
                         }));
     }
@@ -1093,7 +1000,7 @@ void SweepServer::stop() {
     std::lock_guard<std::mutex> lk(s.mu);
     for (const int fd : s.conns) ::shutdown(fd, SHUT_RDWR);
   }
-  // Handlers unblock (EOF / poll wake), move themselves to the zombie list,
+  // Handlers unblock (EOF), move themselves to the zombie list,
   // and are joined here; loop until the live registry drains.
   for (;;) {
     std::vector<std::thread> dead;

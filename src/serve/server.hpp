@@ -27,12 +27,10 @@
 // regenerated with the exact refresh + rows_for + save_cache sequence
 // run_matrix uses.
 //
-// Admission control: the task queue is capacity-bound (`max_queue`) with
-// per-client round-robin fairness keyed on peer identity (SO_PEERCRED for
-// unix-socket clients). A submission that would overflow the queue is shed
-// with a structured "overloaded" error carrying a retry_after_ms hint.
-// Per-connection read deadlines (`read_deadline_s`) drop silent or stalled
-// peers so they cannot exhaust handler threads.
+// The daemon serves one local user: tasks queue FIFO, and there is no
+// admission shedding and no read deadline. A connection that never sends a
+// request holds its handler thread until the client closes it or stop()
+// shuts it down.
 //
 // Crash recovery: every acknowledged submission is durably recorded in a
 // CRC-framed journal next to the store (serve/journal.hpp) and retired only
@@ -44,7 +42,7 @@
 // Subscribed `watch` clients receive newline-delimited JSON events:
 // scheduling, per-task start/done/failed, live telemetry frames (when the
 // submission asked for telemetry), and a terminal "complete". The `health`
-// verb reports uptime, queue depth, in-flight tasks, shed/retry/child-kill
+// verb reports uptime, queue depth, in-flight tasks, retry/child-kill
 // counters, and journal lag.
 //
 // stop() is the SIGTERM drain: stop accepting, refuse new submissions,
@@ -72,12 +70,6 @@ struct ServerOptions {
   unsigned retries = 0;
   /// RLIMIT_AS for each task's forked child, in bytes (0 = unlimited).
   std::uint64_t mem_limit_bytes = 0;
-  /// Admission control: total queued tasks a submission may not push past
-  /// (0 = unbounded). Overflowing submissions are shed with "overloaded".
-  std::size_t max_queue = 1024;
-  /// Per-connection read deadline in seconds: a client that connects and
-  /// sends nothing (or stalls mid-frame) is dropped (0 = no deadline).
-  double read_deadline_s = 30.0;
   /// Sink for "[serve] ..." progress lines. Null = silent.
   std::function<void(const std::string&)> log;
 };
@@ -97,8 +89,6 @@ struct ServerStats {
   std::size_t store_rows = 0; ///< live rows in the result store
   unsigned workers = 0;
   // --- robustness counters (health verb) ---
-  std::uint64_t shed = 0;              ///< submissions refused by admission control
-  std::uint64_t read_deadline_drops = 0;  ///< silent/stalled connections dropped
   std::uint64_t child_kills = 0;       ///< sandbox SIGKILLs (watchdog/timeout/cancel)
   std::uint64_t child_crashes = 0;     ///< sandbox attempts that crashed or OOMed
   std::uint64_t task_retries = 0;      ///< extra sandbox attempts performed

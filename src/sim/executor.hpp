@@ -88,7 +88,7 @@ class CriticalSection {
 struct Job {
   std::string label;
   std::function<void()> fn;
-  std::function<void(const JobControl&)> supervised;
+  std::function<void(const JobControl&)> supervised = {};
 };
 
 /// Worker count used for jobs=auto: hardware_concurrency, floor 1.

@@ -83,14 +83,6 @@ const std::vector<KnobSpec>& knob_registry() {
       {"mem_limit", Type::kInt, "0",
        "address-space limit per forked simulation child, in MiB (0 = unlimited)",
        kKnobServe},
-      {"max_queue", Type::kInt, "1024",
-       "admission control: shed submissions that would push the task queue past "
-       "this depth (0 = unbounded)",
-       kKnobServe},
-      {"read_deadline", Type::kDouble, "30",
-       "drop a connection that sends no complete request within this many "
-       "seconds (0 = no deadline)",
-       kKnobServe},
       {"store", Type::kString, "fig8_cache.store",
        "result store path (WAL log; sidecars <store>.lock / <store>.quarantine)",
        kKnobStore},

@@ -1,9 +1,9 @@
-// Robustness tests of the hardened sweep service: fair-queue scheduling,
-// frame-parser abuse over a raw socket, read deadlines for silent clients,
-// admission-control shedding, the health verb, crash containment through the
-// server, and journal replay on restart.
+// Robustness tests of the hardened sweep service: frame-parser abuse over a
+// raw socket, stop() with silent clients connected, the health verb, crash
+// containment through the server, and journal replay on restart.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -18,41 +18,12 @@
 
 #include "common/json.hpp"
 #include "serve/client.hpp"
-#include "serve/fair_queue.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
 namespace sttgpu::serve {
 namespace {
-
-TEST(FairQueue, RoundRobinsAcrossClients) {
-  FairQueue<std::string> q;
-  q.push("a", "a1");
-  q.push("a", "a2");
-  q.push("a", "a3");
-  q.push("b", "b1");
-  q.push("c", "c1");
-  q.push("c", "c2");
-  EXPECT_EQ(q.size(), 6u);
-  EXPECT_EQ(q.clients(), 3u);
-
-  std::vector<std::string> order;
-  while (auto item = q.pop()) order.push_back(*item);
-  const std::vector<std::string> expected = {"a1", "b1", "c1", "a2", "c2", "a3"};
-  EXPECT_EQ(order, expected);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.clients(), 0u);
-}
-
-TEST(FairQueue, LaneDrainsAndReappears) {
-  FairQueue<int> q;
-  q.push("x", 1);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_FALSE(q.pop().has_value());
-  q.push("x", 2);  // a drained lane was removed; re-pushing recreates it
-  EXPECT_EQ(q.pop().value(), 2);
-}
 
 struct TempDir {
   std::string path;
@@ -201,62 +172,23 @@ TEST_F(RobustServeTest, TruncatedMagicThenHangupDoesNotWedgeTheServer) {
   ExpectServerAlive();
 }
 
-TEST_F(RobustServeTest, SilentClientIsDroppedAtTheReadDeadline) {
-  ServerOptions so;
-  so.read_deadline_s = 0.2;
-  StartServer(std::move(so));
-  RawConn conn(server_->socket_path());
-  // Say nothing. The server must hang up on us, not wait forever.
+TEST_F(RobustServeTest, StopReleasesASilentClient) {
+  StartServer(ServerOptions{});
+  RawConn silent(server_->socket_path());  // connects and says nothing
+  RawConn half(server_->socket_path());
+  half.send("SW", 2);  // half a frame magic, and no hangup
+  // Both handlers are blocked in read_frame; stop() must shut their sockets
+  // down and join them instead of waiting for the clients to hang up.
+  for (int i = 0; i < 500 && server_->stats().connections < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server_->stats().connections, 2u);
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
   char byte = 0;
-  const bool readable = wait_readable(conn.fd, /*timeout_ms=*/5000);
-  ASSERT_TRUE(readable);
-  EXPECT_EQ(::read(conn.fd, &byte, 1), 0);  // clean EOF: we were dropped
-  // Poll the counter: the handler increments it after closing our fd.
-  for (int i = 0; i < 100 && server_->stats().read_deadline_drops == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(server_->stats().read_deadline_drops, 1u);
-  ExpectServerAlive();
-}
-
-TEST_F(RobustServeTest, OverflowingSubmissionIsShedWithRetryHint) {
-  const FaultEnv env("C1/bfs=hang");  // pin the single worker on a wedge
-  ServerOptions so;
-  so.jobs = 1;
-  so.max_queue = 2;
-  StartServer(std::move(so));
-
-  // Occupies the worker (C1/bfs hangs in its sandbox child) and one queue
-  // slot (C2/bfs waits behind it).
-  const JsonValue busy = connect().request(submit_request("C1,C2", "bfs"));
-  const std::int64_t busy_id = busy.at("id").as_int();
-  // Wait for the worker to pick up C1/bfs, leaving exactly C2/bfs queued —
-  // the admission arithmetic below assumes a settled queue.
-  for (int i = 0; i < 500 && server_->stats().queued > 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(server_->stats().queued, 1u);
-
-  // 3 more fresh tasks cannot fit a queue capped at 2 with 1 already waiting.
-  try {
-    connect().request(submit_request("C1,C2,C3", "nw"));
-    FAIL() << "expected Overloaded";
-  } catch (const Overloaded& e) {
-    EXPECT_GT(e.retry_after_ms(), 0);
-    EXPECT_NE(std::string(e.what()).find("max_queue"), std::string::npos);
-  }
-  EXPECT_EQ(server_->stats().shed, 1u);
-
-  // A submission that fits (1 new task) is still admitted: shedding is
-  // per-submission, not a global lockout.
-  const JsonValue small = connect().request(submit_request("C3", "bfs"));
-  EXPECT_EQ(small.at("scheduled").as_int(), 1);
-
-  // Unwedge: cancelling the hung submission SIGKILLs the sandbox child.
-  connect().request(verb_request("cancel", busy_id));
-  const JsonValue final_event = connect().stream(
-      verb_request("watch", busy_id), [](const std::string&, const JsonValue&) {});
-  EXPECT_EQ(final_event.at("state").as_string(), "cancelled");
+  EXPECT_EQ(::read(silent.fd, &byte, 1), 0);  // clean EOF
+  EXPECT_EQ(::read(half.fd, &byte, 1), 0);
 }
 
 TEST_F(RobustServeTest, HealthVerbReportsTheRobustnessCounters) {
@@ -267,7 +199,6 @@ TEST_F(RobustServeTest, HealthVerbReportsTheRobustnessCounters) {
   EXPECT_GE(h.at("uptime_s").as_double(), 0.0);
   EXPECT_EQ(h.at("queued").as_int(), 0);
   EXPECT_EQ(h.at("inflight").as_int(), 0);
-  EXPECT_EQ(h.at("shed").as_int(), 0);
   EXPECT_EQ(h.at("child_kills").as_int(), 0);
   EXPECT_EQ(h.at("child_crashes").as_int(), 0);
   EXPECT_EQ(h.at("journal_pending").as_int(), 0);

@@ -372,26 +372,31 @@ TEST(Knobs, UnknownAndMistypedKnobsAreRejected) {
 
 TEST(Knobs, RemovedSteppingKnobsAreUnknown) {
   // The stepping-loop level selector and the bank-tick thread count are gone:
-  // fastforward= alone picks the loop. Spelled in pieces so the removed
-  // names appear nowhere in the sources.
+  // fastforward= alone picks the loop. So are serve's admission knobs: the
+  // daemon serves one local user, with a FIFO queue and no read deadline.
+  // Spelled in pieces so the removed names appear nowhere in the sources.
+  const auto expect_unknown = [](const std::string& name, KnobCommand command,
+                                 const char* cmd_name) {
+    Config cfg;
+    cfg.set(name, "2");
+    try {
+      validate_knobs(cfg, command, cmd_name);
+      ADD_FAILURE() << name << "= accepted by " << cmd_name;
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown knob '" + name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
   const std::string removed[] = {std::string("hot") + "path", std::string("tick") + "_jobs"};
   const std::pair<KnobCommand, const char*> commands[] = {
       {kKnobRun, "run"}, {kKnobMatrix, "matrix"}, {kKnobRecord, "record"},
       {kKnobSubmit, "submit"}};
   for (const std::string& name : removed) {
-    for (const auto& [command, cmd_name] : commands) {
-      Config cfg;
-      cfg.set(name, "2");
-      try {
-        validate_knobs(cfg, command, cmd_name);
-        ADD_FAILURE() << name << "= accepted by " << cmd_name;
-      } catch (const SimError& e) {
-        EXPECT_NE(std::string(e.what()).find("unknown knob '" + name + "'"),
-                  std::string::npos)
-            << e.what();
-      }
-    }
+    for (const auto& [command, cmd_name] : commands) expect_unknown(name, command, cmd_name);
   }
+  expect_unknown(std::string("max") + "_queue", kKnobServe, "serve");
+  expect_unknown(std::string("read") + "_deadline", kKnobServe, "serve");
 }
 
 TEST(Knobs, DefaultsResolvePerCommand) {

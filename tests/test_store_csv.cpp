@@ -69,7 +69,7 @@ TEST(StoreCsv, WriteReadRoundTripIsBitExact) {
 
 TEST(StoreCsv, EmptyOrWhitespaceFileIsAColdCacheWithoutWarnings) {
   const std::string path = "test_store_csv_empty.csv";
-  for (const std::string content : {std::string(), std::string("\n \t\n  \n")}) {
+  for (const std::string& content : {std::string(), std::string("\n \t\n  \n")}) {
     std::ofstream(path, std::ios::trunc) << content;
     LogCapture log;
     EXPECT_TRUE(read_csv_v2(path, 0.5, kFp, log.fn()).empty());

@@ -74,7 +74,9 @@ TEST(StoreWal, TornTailAtEveryTruncationOffsetIsDetected) {
     EXPECT_EQ(s.report.records, 1u) << "cut=" << cut;
     EXPECT_EQ(s.report.corrupt_ranges, 0u) << "cut=" << cut;
     EXPECT_EQ(s.report.torn_tail, cut != 0) << "cut=" << cut;
-    if (cut != 0) EXPECT_EQ(s.report.torn_bytes, cut) << "cut=" << cut;
+    if (cut != 0) {
+      EXPECT_EQ(s.report.torn_bytes, cut) << "cut=" << cut;
+    }
     EXPECT_EQ(s.report.scanned_end, head.size()) << "cut=" << cut;
   }
 }

@@ -30,20 +30,16 @@
 //
 //   sttgpu serve [socket=sttgpu.sock] [cache=fig8_cache.csv] [jobs=N]
 //               [watchdog=<s>] [job_timeout=<s>] [retry=<n>] [mem_limit=<MiB>]
-//               [max_queue=N] [read_deadline=<s>]
-//       Run the sweep-service daemon: submissions from the client verbs
-//       below are deduplicated against the result store and against each
-//       other before anything simulates, misses run on a supervised worker
-//       pool, and the CSV export is kept byte-identical to a direct matrix
-//       run. Each simulation runs in a forked child under the matrix
-//       runner's supervisor — a crash, OOM (against mem_limit=) or wedge is
-//       reaped and retried/reported without taking the daemon down.
-//       Submissions that would push the queue past max_queue= are shed with
-//       a structured "overloaded" error carrying a retry_after_ms hint;
-//       connections that send no request within read_deadline= seconds are
-//       dropped. Acknowledged
-//       submissions are journaled next to the store ("<cache>.journal") and
-//       replayed after a crash — even SIGKILL loses no accepted work.
+//       Run the sweep-service daemon for one local user: submissions from
+//       the client verbs below are deduplicated against the result store and
+//       against each other before anything simulates, misses queue FIFO for
+//       a supervised worker pool, and the CSV export is kept byte-identical
+//       to a direct matrix run. Each simulation runs in a forked child under
+//       the matrix runner's supervisor — a crash, OOM (against mem_limit=)
+//       or wedge is reaped and retried/reported without taking the daemon
+//       down. Acknowledged submissions are journaled next to the store
+//       ("<cache>.journal") and replayed after a crash — even SIGKILL loses
+//       no accepted work.
 //       SIGINT/SIGTERM drains gracefully (in-flight work finishes and is
 //       persisted) and exits 0.
 //
@@ -55,12 +51,11 @@
 //   sttgpu result [socket=...] [id=N | arch=C1 benchmark=bfs scale=0.5]
 //   sttgpu health [socket=...]
 //       Clients of a running `sttgpu serve`. submit sends a matrix slice
-//       (wait=1 blocks, streams progress, and prints the result table) and
-//       retries with jittered backoff when the server sheds it as
-//       overloaded; watch streams a submission's NDJSON events; result
-//       fetches stored rows — by-key output is byte-identical to the metrics
-//       block of the equivalent direct `sttgpu run`; health prints uptime,
-//       queue depth, and the shed/retry/child-kill/journal counters.
+//       (wait=1 blocks, streams progress, and prints the result table);
+//       watch streams a submission's NDJSON events; result fetches stored
+//       rows — by-key output is byte-identical to the metrics block of the
+//       equivalent direct `sttgpu run`; health prints uptime, queue depth,
+//       and the retry/child-kill/journal counters.
 //
 // Exit codes (common/exit_codes.hpp):
 //   0  success
@@ -72,7 +67,7 @@
 //   5  store fsck: quarantined data awaiting acknowledgement
 //   6  serve: cannot bind/listen on the requested socket
 //   7  client/server protocol version mismatch
-//   8  submission shed by admission control (retries exhausted)
+//   8  retired, never reused
 //   9  serve: the submission journal is unusable
 //
 //   sttgpu record arch=sram benchmark=bfs trace=bfs.trace [scale=0.5]
@@ -98,7 +93,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <random>
 #include <sstream>
 #include <thread>
 
@@ -439,11 +433,6 @@ int cmd_serve(const Config& cfg) {
   const std::int64_t mem_limit = sim::knob_int(cfg, kCmd, "mem_limit");
   STTGPU_REQUIRE(mem_limit >= 0, "mem_limit= must be >= 0 MiB");
   so.mem_limit_bytes = static_cast<std::uint64_t>(mem_limit) << 20;
-  const std::int64_t max_queue = sim::knob_int(cfg, kCmd, "max_queue");
-  STTGPU_REQUIRE(max_queue >= 0, "max_queue= must be >= 0");
-  so.max_queue = static_cast<std::size_t>(max_queue);
-  so.read_deadline_s = sim::knob_double(cfg, kCmd, "read_deadline");
-  STTGPU_REQUIRE(so.read_deadline_s >= 0.0, "read_deadline= must be >= 0 seconds");
   so.log = [](const std::string& line) { sim::log_line(line); };
 
   serve::SweepServer server(std::move(so));
@@ -523,33 +512,11 @@ JsonValue follow(const Config& cfg, sim::KnobCommand cmd, std::int64_t id) {
   });
 }
 
-/// Sends the submit request, honoring the server's admission control: an
-/// "overloaded" refusal is retried with the server's retry_after_ms hint
-/// plus client-side jitter (so a herd of shed clients doesn't re-arrive in
-/// lockstep). Throws the final Overloaded when the retry budget runs out.
-JsonValue submit_with_backoff(const Config& cfg, sim::KnobCommand cmd) {
-  constexpr int kMaxOverloadRetries = 8;
-  std::mt19937 rng{std::random_device{}()};
-  std::uniform_real_distribution<double> jitter(0.0, 0.5);
-  for (int attempt = 0;; ++attempt) {
-    serve::Client client = client_connect(cfg, cmd);
-    try {
-      return client.request(client_request("submit", cfg));
-    } catch (const serve::Overloaded& e) {
-      if (attempt >= kMaxOverloadRetries) throw;
-      const double ms = static_cast<double>(e.retry_after_ms()) * (1.0 + jitter(rng));
-      std::cerr << "server overloaded; retrying in " << static_cast<std::int64_t>(ms)
-                << "ms (attempt " << attempt + 1 << "/" << kMaxOverloadRetries << ")\n";
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<std::int64_t>(ms)));
-    }
-  }
-}
-
 int cmd_submit(const Config& cfg) {
   constexpr auto kCmd = sim::kKnobSubmit;
   sim::validate_knobs(cfg, kCmd, "submit");
-  const JsonValue response = submit_with_backoff(cfg, kCmd);
+  serve::Client client = client_connect(cfg, kCmd);
+  const JsonValue response = client.request(client_request("submit", cfg));
   const std::int64_t id = response.at("id").as_int();
   std::cout << "submitted " << id << ": " << response.at("total").as_int()
             << " configs, " << response.at("hits").as_int() << " store hits, "
@@ -683,8 +650,6 @@ int cmd_health(const Config& cfg) {
             << "  journal      " << h.at("journal_pending").as_int() << " pending of "
             << h.at("journal_records").as_int() << " recorded ("
             << h.at("replayed").as_int() << " replayed at startup)\n"
-            << "  admission    " << h.at("shed").as_int() << " shed, "
-            << h.at("read_deadline_drops").as_int() << " silent-client drops\n"
             << "  children     " << h.at("child_kills").as_int() << " kills, "
             << h.at("child_crashes").as_int() << " crashes, "
             << h.at("task_retries").as_int() << " retries\n"
@@ -734,9 +699,6 @@ int main(int argc, char** argv) {
   } catch (const serve::BindError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitBind;
-  } catch (const serve::Overloaded& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return kExitOverloaded;
   } catch (const serve::JournalError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitJournal;
