@@ -1,7 +1,9 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <iomanip>
 #include <iostream>
@@ -108,6 +110,20 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+// Same (arch, benchmark) and the same bits in every value column (each is
+// 8 bytes, or bit_cast would not compile; so they fit in the array).
+bool same_row(const store::ResultRow& a, const store::ResultRow& b) {
+  const auto bits = [](const store::ResultRow& r) {
+    std::array<std::uint64_t, sizeof(r) / 8> out{};
+    std::size_t i = 0;
+    store::for_each_value(r, [&](const char*, const char*, const auto& v) {
+      out[i++] = std::bit_cast<std::uint64_t>(v);
+    });
+    return out;
+  };
+  return a.arch == b.arch && a.benchmark == b.benchmark && bits(a) == bits(b);
+}
+
 // Serializes everything a cached Metrics row depends on: the resolved
 // architecture registry (cache geometry, cell/energy parameters, GPU
 // model) and the benchmark suite. Any change to these invalidates caches.
@@ -166,7 +182,10 @@ const std::string& config_serialization() {
 
 }  // namespace
 
-std::uint64_t config_fingerprint() { return fnv1a(config_serialization()); }
+std::uint64_t config_fingerprint() {
+  static const std::uint64_t fp = fnv1a(config_serialization());
+  return fp;
+}
 
 std::uint64_t config_fingerprint(const sttl2::FaultInjectionConfig& faults) {
   // Disabled faults contribute no tokens: the hash — and therefore every
@@ -237,7 +256,7 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
     so.cancel = opts.cancel;
     db = std::make_unique<store::ResultStore>(store::ResultStore::derive_path(cache_path),
                                               so);
-    const std::vector<store::ResultRow> csv_rows =
+    std::vector<store::ResultRow> csv_rows =
         store::read_csv_v2(cache_path, scale, fp, so.log);
     std::vector<store::ResultRow> migrate;
     for (const store::ResultRow& r : csv_rows) {
@@ -248,20 +267,16 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
       log_line("[store] " + db->path() + ": migrated " + std::to_string(migrate.size()) +
                " row" + (migrate.size() == 1 ? "" : "s") + " from " + cache_path);
     }
-    // Is the CSV already a faithful export? Compare through the canonical
-    // record encoding so float formatting can never lie. If not (truncated
-    // by hand, store ahead of CSV, value conflict), re-export after the run
-    // even when every slot comes from the store.
-    std::vector<std::string> csv_enc, store_enc;
-    for (const store::ResultRow& r : csv_rows) {
-      csv_enc.push_back(store::encode_put(fp, scale, r));
-    }
-    for (const store::ResultRow& r : db->rows_for(fp, scale)) {
-      store_enc.push_back(store::encode_put(fp, scale, r));
-    }
-    std::sort(csv_enc.begin(), csv_enc.end());
-    std::sort(store_enc.begin(), store_enc.end());
-    csv_fresh = csv_enc == store_enc;
+    // Is the CSV already a faithful export? Compare its rows with the store's
+    // in (arch, benchmark) order, bit for bit (as equal 17-digit texts would;
+    // differing NaN payloads read as stale). If not (truncated by hand, store
+    // ahead of CSV, value conflict), re-export even if nothing simulates.
+    std::sort(csv_rows.begin(), csv_rows.end(), [](const auto& a, const auto& b) {
+      return a.arch != b.arch ? a.arch < b.arch : a.benchmark < b.benchmark;
+    });
+    const std::vector<store::ResultRow> stored = db->rows_for(fp, scale);
+    csv_fresh =
+        std::equal(csv_rows.begin(), csv_rows.end(), stored.begin(), stored.end(), same_row);
   }
 
   // Lay out the result slots up front: results are collected by slot index,

@@ -1,8 +1,7 @@
 #include "store/csv_format.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <fstream>
-#include <iomanip>
 #include <optional>
 #include <sstream>
 
@@ -14,37 +13,39 @@ namespace {
 
 constexpr char kCacheMagic[] = "# sttgpu-cache v2";
 
-std::vector<std::string> split_csv(const std::string& row) {
-  std::vector<std::string> cells;
-  std::istringstream ss(row);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  if (!row.empty() && row.back() == ',') cells.emplace_back();
-  return cells;
+/// Pops the text before the next @p sep off the front of @p rest, and the
+/// separator with it; the last piece takes all that is left.
+std::string_view pop_until(std::string_view& rest, char sep) {
+  const std::string_view piece = rest.substr(0, rest.find(sep));
+  rest.remove_prefix(std::min(piece.size() + 1, rest.size()));
+  return piece;
 }
 
 /// Parses one data row; nullopt (caller warns + skips) on any malformation.
-std::optional<ResultRow> parse_row(const std::string& row) {
-  const std::vector<std::string> cells = split_csv(row);
-  if (cells.size() < 2) return std::nullopt;
+std::optional<ResultRow> parse_row(std::string_view row) {
+  std::size_t cells = std::count(row.begin(), row.end(), ',') + 1;  // left to take
+  const auto cell = [&row, &cells](std::string_view& out) {
+    out = pop_until(row, ',');
+    return cells-- > 0;
+  };
+  std::string_view arch, benchmark, tok;
+  bool ok = cell(arch) && cell(benchmark) && !arch.empty() && !benchmark.empty();
   ResultRow m;
-  m.arch = cells[0];
-  m.benchmark = cells[1];
-  bool ok = !m.arch.empty() && !m.benchmark.empty();
-  std::size_t i = 2;
   for_each_value(m, [&](const char*, const char*, auto& v) {
-    ok = ok && i < cells.size() && parse_token(cells[i++], v);
+    ok = ok && cell(tok) && parse_token(tok, v);
   });
-  if (!ok || i != cells.size()) return std::nullopt;
+  if (!ok || cells != 0) return std::nullopt;
+  m.arch = arch;
+  m.benchmark = benchmark;
   return m;
 }
 
 /// Extracts "key=value" from a whitespace-separated header line.
-std::optional<std::string> header_field(const std::string& header, const std::string& key) {
-  std::istringstream ss(header);
-  std::string token;
-  while (ss >> token) {
-    if (token.rfind(key + "=", 0) == 0) return token.substr(key.size() + 1);
+std::optional<std::string_view> header_field(std::string_view header, std::string_view key) {
+  for (std::string_view tok; next_token(header, tok);) {
+    if (tok.starts_with(key) && tok.substr(key.size()).starts_with('=')) {
+      return tok.substr(key.size() + 1);
+    }
   }
   return std::nullopt;
 }
@@ -53,32 +54,25 @@ void warn(const LogFn& log, const std::string& line) {
   if (log) log(line);
 }
 
-bool whitespace_only(std::istream& in) {
-  char c = 0;
-  while (in.get(c)) {
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<ResultRow> read_csv_v2(const std::string& path, double scale,
                                    std::uint64_t fingerprint, const LogFn& log) {
   std::vector<ResultRow> rows;
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return rows;
+  std::ostringstream file;
+  file << in.rdbuf();
+  const std::string text = file.str();
 
   // An empty or whitespace-only file is a cold cache (e.g. `touch`ed by a
   // wrapper script, or truncated by hand), not a malformed one: start fresh
   // without the scary foreign-format warning.
-  if (whitespace_only(in)) return rows;
-  in.clear();
-  in.seekg(0);
+  if (std::string_view probe = text, tok; !next_token(probe, tok)) return rows;
 
-  std::string header;
-  std::getline(in, header);
-  if (header.rfind(kCacheMagic, 0) != 0) {
+  std::string_view rest = text;
+  const std::string_view header = pop_until(rest, '\n');
+  if (!header.starts_with(kCacheMagic)) {
     warn(log, "[cache] " + path +
                   ": not a v2 result cache (old or foreign format) — ignoring it;"
                   " the matrix will re-simulate and rewrite it");
@@ -92,68 +86,65 @@ std::vector<ResultRow> read_csv_v2(const std::string& path, double scale,
   }
   double parsed_scale = 0.0;
   if (!parse_token(*file_scale, parsed_scale) || parsed_scale != scale) {
-    warn(log, "[cache] " + path + ": written at scale=" + *file_scale +
+    warn(log, "[cache] " + path + ": written at scale=" + std::string(*file_scale) +
                   ", requested scale=" + scale_text(scale) + " — ignoring stale cache");
     return rows;
   }
   if (*file_config != fingerprint_hex(fingerprint)) {
     warn(log, "[cache] " + path + ": simulator config fingerprint mismatch (cache " +
-                  *file_config + ", current " + fingerprint_hex(fingerprint) +
+                  std::string(*file_config) + ", current " + fingerprint_hex(fingerprint) +
                   ") — ignoring stale cache");
     return rows;
   }
 
-  std::string column_header;
-  std::getline(in, column_header);  // column names; ignored
+  pop_until(rest, '\n');  // column names; ignored
 
   // Malformed rows are skipped (they will simply re-simulate), but reported
   // as ONE summary line — a corrupted tail would otherwise emit hundreds of
   // per-row warnings and bury the progress log.
   std::size_t skipped = 0;
   constexpr std::size_t kMaxQuoted = 3;
-  std::ostringstream offenders;
-  std::string row;
-  std::size_t lineno = 2;
-  while (std::getline(in, row)) {
-    ++lineno;
+  std::string offenders;
+  for (std::size_t lineno = 3; !rest.empty(); ++lineno) {
+    const std::string_view row = pop_until(rest, '\n');
     if (row.empty()) continue;
-    const std::optional<ResultRow> m = parse_row(row);
+    std::optional<ResultRow> m = parse_row(row);
     if (!m) {
-      ++skipped;
-      if (skipped <= kMaxQuoted) {
-        offenders << "\n  line " << lineno << ": " << row;
+      if (++skipped <= kMaxQuoted) {
+        offenders += "\n  line " + std::to_string(lineno) + ": ";
+        offenders += row;
       }
       continue;
     }
-    rows.push_back(*m);
+    rows.push_back(std::move(*m));
+  }
+  if (skipped > kMaxQuoted) {
+    offenders += "\n  ... and " + std::to_string(skipped - kMaxQuoted) + " more";
   }
   if (skipped > 0) {
-    std::ostringstream os;
-    os << "[cache] " << path << ": skipped " << skipped << " malformed row"
-       << (skipped == 1 ? "" : "s") << " (will re-simulate)" << offenders.str();
-    if (skipped > kMaxQuoted) os << "\n  ... and " << skipped - kMaxQuoted << " more";
-    warn(log, os.str());
+    warn(log, "[cache] " + path + ": skipped " + std::to_string(skipped) + " malformed row" +
+                  (skipped == 1 ? "" : "s") + " (will re-simulate)" + offenders);
   }
   return rows;
 }
 
 void write_csv_v2(const std::string& path, double scale, std::uint64_t fingerprint,
                   const std::vector<ResultRow>& rows) {
-  atomic_write_file(path, [&](std::ostream& out) {
-    out << std::setprecision(17);
-    out << kCacheMagic << " scale=" << scale_text(scale)
-        << " config=" << fingerprint_hex(fingerprint) << '\n';
-    out << "arch,benchmark";
-    for_each_value(ResultRow{}, [&out](const char* column, const char*, const auto&) {
-      out << ',' << column;
-    });
-    out << '\n';
-    for (const ResultRow& m : rows) {
-      out << m.arch << ',' << m.benchmark;
-      for_each_value(m, [&out](const char*, const char*, const auto& v) { out << ',' << v; });
-      out << '\n';
-    }
+  std::string text = std::string(kCacheMagic) + " scale=" + scale_text(scale) +
+                     " config=" + fingerprint_hex(fingerprint) + "\narch,benchmark";
+  for_each_value(ResultRow{}, [&text](const char* column, const char*, const auto&) {
+    text.append(1, ',').append(column);
   });
+  text += '\n';
+  for (const ResultRow& m : rows) {
+    text.append(m.arch).append(1, ',').append(m.benchmark);
+    for_each_value(m, [&text](const char*, const char*, const auto& v) {
+      text += ',';
+      append_number(text, v);
+    });
+    text += '\n';
+  }
+  atomic_write_file(path, [&text](std::ostream& out) { out << text; });
 }
 
 }  // namespace sttgpu::store

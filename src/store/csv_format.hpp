@@ -9,9 +9,9 @@
 // *export* format: human-diffable, checked in (fig8_cache.csv), and the
 // one-time migration source for stores that do not exist yet. The header
 // still pins one (scale, config fingerprint) pair per file; a mismatch on
-// either means every row is stale and the whole file is ignored. Values are
-// written with max_digits10 precision so a load -> save round trip is
-// bit-exact — the checked-in cache regenerates byte-identically.
+// either means every row is stale and the whole file is ignored. Values go
+// through std::to_chars (%.17g) and std::from_chars, so a load -> save round
+// trip is bit-exact — the checked-in cache regenerates byte-identically.
 #pragma once
 
 #include <cstdint>

@@ -1,23 +1,62 @@
 #include "store/record.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <iomanip>
-#include <sstream>
+#include <charconv>
 
 #include "common/error.hpp"
 
 namespace sttgpu::store {
 
+namespace {
+
+/// std::isspace in the C locale: ' ', '\t', '\n', '\v', '\f' and '\r'.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// std::from_chars over the whole of @p tok after its leading whitespace.
+template <typename T, typename... Base>
+bool from_chars_whole(std::string_view tok, T& out, Base... base) {
+  tok.remove_prefix(std::find_if_not(tok.begin(), tok.end(), is_space) - tok.begin());
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out, base...);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+void append_number(std::string& out, double v) {
+  char buf[32];  // the longest %.17g is 24 characters
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr);
+}
+
+void append_number(std::string& out, std::uint64_t v, int base) {
+  char buf[64];  // UINT64_MAX in base 2
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, base).ptr);
+}
+
+bool parse_token(std::string_view tok, double& out) { return from_chars_whole(tok, out); }
+
+bool parse_token(std::string_view tok, std::uint64_t& out, int base) {
+  return from_chars_whole(tok, out, base);
+}
+
+bool next_token(std::string_view& rest, std::string_view& tok) {
+  rest.remove_prefix(std::find_if_not(rest.begin(), rest.end(), is_space) - rest.begin());
+  tok = rest.substr(0, std::find_if(rest.begin(), rest.end(), is_space) - rest.begin());
+  rest.remove_prefix(tok.size());
+  return !tok.empty();
+}
+
 std::string scale_text(double scale) {
-  std::ostringstream os;
-  os << std::setprecision(17) << scale;
-  return os.str();
+  std::string out;
+  append_number(out, scale);
+  return out;
 }
 
 std::string fingerprint_hex(std::uint64_t fingerprint) {
-  std::ostringstream os;
-  os << std::hex << fingerprint;
-  return os.str();
+  std::string out;
+  append_number(out, fingerprint, 16);
+  return out;
 }
 
 std::string store_key(std::uint64_t fingerprint, const std::string& scale17,
@@ -47,46 +86,29 @@ std::string encode_put(std::uint64_t fingerprint, double scale, const ResultRow&
 
 std::string encode_put(std::uint64_t fingerprint, const std::string& scale17,
                        const ResultRow& row) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "put " << fingerprint_hex(fingerprint) << ' ' << scale17 << ' ' << row.arch
-     << ' ' << row.benchmark;
-  for_each_value(row, [&os](const char*, const char*, const auto& v) { os << ' ' << v; });
-  return os.str();
-}
-
-bool parse_token(const std::string& tok, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(tok, &pos);
-    return pos == tok.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_token(const std::string& tok, std::uint64_t& out, int base) {
-  try {
-    std::size_t pos = 0;
-    out = std::stoull(tok, &pos, base);
-    return pos == tok.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  std::string out = "put " + store_key(fingerprint, scale17, row.arch, row.benchmark);
+  for_each_value(row, [&out](const char*, const char*, const auto& v) {
+    out += ' ';
+    append_number(out, v);
+  });
+  return out;
 }
 
 std::optional<PutRecord> decode_put(std::string_view payload) {
-  std::istringstream ss{std::string(payload)};
-  std::string tag, fp_hex, tok;
+  std::string_view tag, fp_hex, scale17, arch, benchmark, tok;
   PutRecord r;
-  ss >> tag >> fp_hex >> r.scale17 >> r.row.arch >> r.row.benchmark;
   double scale = 0.0;
-  bool ok = tag == "put" && static_cast<bool>(ss) && parse_token(fp_hex, r.fingerprint, 16) &&
-            parse_token(r.scale17, scale);
+  bool ok = next_token(payload, tag) && tag == "put" && next_token(payload, fp_hex) &&
+            next_token(payload, scale17) && next_token(payload, arch) &&
+            next_token(payload, benchmark) && parse_token(fp_hex, r.fingerprint, 16) &&
+            parse_token(scale17, scale);
   for_each_value(r.row, [&](const char*, const char*, auto& v) {
-    ok = ok && static_cast<bool>(ss >> tok) && parse_token(tok, v);
+    ok = ok && next_token(payload, tok) && parse_token(tok, v);
   });
-  if (!ok || ss >> tok) return std::nullopt;  // malformed, or trailing junk
+  if (!ok || next_token(payload, tok)) return std::nullopt;  // malformed, or trailing junk
+  r.scale17 = scale17;
+  r.row.arch = arch;
+  r.row.benchmark = benchmark;
   return r;
 }
 

@@ -10,8 +10,8 @@
 // Payloads are single text lines ("put <fp> <scale> <arch> <bench> <nums>")
 // rather than packed binary: they are human-inspectable with `strings`, the
 // framing layer (wal.hpp) already provides length + CRC32 integrity, and
-// numbers are written with max_digits10 precision so a decode -> encode
-// round trip is byte-exact.
+// numbers are written as printf's %.17g (by std::to_chars), so a decode ->
+// encode round trip is byte-exact and equal texts mean bit-equal values.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +57,20 @@ static_assert(sizeof(ResultRow) ==
                   2 * sizeof(std::string) + 6 * sizeof(double) + sizeof(std::uint64_t),
               "ResultRow changed: update for_each_value, then this count");
 
-/// Parses the whole of @p tok as a number; false if any of it is not.
-/// (Leading whitespace is accepted, as std::stod/stoull accept it.)
-bool parse_token(const std::string& tok, double& out);
-bool parse_token(const std::string& tok, std::uint64_t& out, int base = 10);
+/// Appends @p v as the encodings spell it: a double as printf's %.17g, an
+/// integer in @p base with lower-case digits.
+void append_number(std::string& out, double v);
+void append_number(std::string& out, std::uint64_t v, int base = 10);
+
+/// Parses the whole of @p tok with std::from_chars; false if any of it is
+/// not the number. Leading whitespace is accepted; '+', a hex prefix, '-' on
+/// an integer and a double that overflows or underflows to zero are not.
+bool parse_token(std::string_view tok, double& out);
+bool parse_token(std::string_view tok, std::uint64_t& out, int base = 10);
+
+/// Pops the next whitespace-separated token of @p rest into @p tok (a view
+/// of the same bytes); false once only whitespace is left.
+bool next_token(std::string_view& rest, std::string_view& tok);
 
 /// Canonical 17-significant-digit text form of a scale (or any double):
 /// the key uses the text form so exact-equality questions never touch

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -12,6 +15,7 @@
 
 #include "common/error.hpp"
 #include "sim/probe.hpp"
+#include "store/csv_format.hpp"
 #include "store/result_store.hpp"
 
 namespace sttgpu::sim {
@@ -203,6 +207,48 @@ TEST(Runner, MatrixUsesCachedRowsVerbatim) {
                                {.scale = kTinyScale, .cache_path = path, .jobs = 1});
   ASSERT_EQ(rows.size(), 1u);
   expect_identical(rows[0], planted);
+  remove_cache_files(path);
+}
+
+TEST(Runner, WarmMatrixKeepsAFreshCsvAndReExportsAStaleOne) {
+  const std::string path = "test_runner_matrix_fresh.csv";
+  remove_cache_files(path);
+  const std::vector<Architecture> archs{Architecture::kSramBaseline, Architecture::kC1};
+  const std::vector<std::string> benchmarks{"bfs", "kmeans"};
+  const RunOptions opts{.scale = kTinyScale, .cache_path = path, .jobs = 1};
+  const auto inode = [&path] {
+    struct stat st {};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0);
+    return st.st_ino;
+  };
+  const auto applied_records = [&path] {
+    return store::ResultStore(store::ResultStore::derive_path(path)).stats().applied_records;
+  };
+  run_matrix(archs, benchmarks, opts);
+  const std::string cold = slurp(path);
+  ASSERT_EQ(applied_records(), 4u);
+
+  // A current CSV is left alone: not even re-exported.
+  const auto cold_inode = inode();
+  run_matrix(archs, benchmarks, opts);
+  EXPECT_EQ(inode(), cold_inode);
+  EXPECT_EQ(applied_records(), 4u);
+
+  // A stale one is re-exported from the store, with nothing simulated.
+  const std::vector<Metrics> exported =
+      store::read_csv_v2(path, kTinyScale, config_fingerprint(), nullptr);
+  ASSERT_EQ(exported.size(), 4u);
+  std::vector<Metrics> one_ulp_off = exported;
+  one_ulp_off[1].total_w = std::nextafter(one_ulp_off[1].total_w, INFINITY);
+  std::vector<Metrics> one_row_short = exported;
+  one_row_short.erase(one_row_short.begin() + 2);
+  for (const std::vector<Metrics>& stale : {one_ulp_off, one_row_short}) {
+    save_cache(path, kTinyScale, stale);
+    ASSERT_NE(slurp(path), cold);
+    run_matrix(archs, benchmarks, opts);
+    EXPECT_EQ(slurp(path), cold);
+    EXPECT_EQ(applied_records(), 4u);
+  }
   remove_cache_files(path);
 }
 

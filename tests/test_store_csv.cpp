@@ -108,7 +108,8 @@ TEST(StoreCsv, MalformedRowsAreSkippedAndSummarized) {
   {
     std::ofstream out(path, std::ios::app);
     out << "C2,bfs,2.5,99\n"                  // short row
-        << "C3,bfs,nan?,1,2,3,4,5,6\n";       // non-numeric cell
+        << "C3,bfs,nan?,1,2,3,4,5,6\n"        // non-numeric cell
+        << "C2,nw,1,-1,3,4,5,6,7\n";          // negative cycles
   }
   LogCapture log;
   const std::vector<ResultRow> rows = read_csv_v2(path, 0.5, kFp, log.fn());

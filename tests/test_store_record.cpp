@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "store/csv_format.hpp"
 
 namespace sttgpu::store {
 namespace {
@@ -90,6 +99,82 @@ TEST(StoreRecord, DecodeRejectsMalformedPayloads) {
   EXPECT_FALSE(decode_put("put zz 0.5 C1 bfs 1 2 3 4 5 6 7").has_value());  // bad hex
   EXPECT_FALSE(decode_put("put ff 0.5 C1 bfs x 2 3 4 5 6 7").has_value());  // bad num
   EXPECT_FALSE(decode_put("put ff 0.5 C1 bfs 1 2.5 3 4 5 6 7").has_value());  // cycles
+  EXPECT_FALSE(decode_put("put ff 0.5 C1 bfs 1 -1 3 4 5 6 7").has_value());  // cycles < 0
+}
+
+TEST(StoreRecord, ParseTokenAcceptsExactlyThePinnedSpellings) {
+  double d = 0.0;
+  EXPECT_TRUE(parse_token("1.5", d) && d == 1.5);
+  EXPECT_TRUE(parse_token(" 1.5", d) && d == 1.5);  // leading whitespace
+  EXPECT_TRUE(parse_token("-0", d) && d == 0.0 && std::signbit(d));
+  EXPECT_TRUE(parse_token("inf", d) && std::isinf(d));
+  EXPECT_TRUE(parse_token("nan", d) && std::isnan(d));
+  EXPECT_TRUE(parse_token("1e-320", d) && d == 1e-320);  // subnormal
+  for (const char* bad : {"", "1.5 ", "+1.5", "0x1p-3", "1e400"}) {
+    EXPECT_FALSE(parse_token(bad, d)) << '"' << bad << '"';
+  }
+
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_token("18446744073709551615", u) && u == UINT64_MAX);
+  EXPECT_TRUE(parse_token(" 7", u) && u == 7);
+  EXPECT_TRUE(parse_token("ff", u, 16) && u == 0xff);
+  for (const char* bad : {"", "-1", "+1", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_token(bad, u)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parse_token("0x10", u, 16));
+}
+
+/// Every value column of @p a and @p b holds the same bits (-0.0 != 0.0).
+void expect_same_bits(const ResultRow& a, const ResultRow& b) {
+  std::vector<std::uint64_t> bits;
+  for_each_value(a, [&](const char*, const char*, const auto& v) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  });
+  std::size_t i = 0;
+  for_each_value(b, [&](const char* column, const char*, const auto& v) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v), bits[i++]) << column;
+  });
+}
+
+TEST(StoreRecord, ExtremeValuesRoundTripThroughBothEncodings) {
+  using lim = std::numeric_limits<double>;
+  std::vector<double> extremes{lim::denorm_min(), 2.2250738585072009e-308, lim::max(),
+                               lim::lowest(),     -0.0,                    1.0 / 3.0};
+  // Two rows, the second with the extremes in reverse column order.
+  std::vector<ResultRow> rows;
+  for (const std::uint64_t cycles : {std::uint64_t{0}, UINT64_MAX}) {
+    ResultRow row = sample_row();
+    std::size_t k = 0;
+    for_each_value(row, [&](const char*, const char*, auto& v) {
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>, double>) {
+        v = extremes[k++];
+      } else {
+        v = cycles;
+      }
+    });
+    row.benchmark = "b" + std::to_string(rows.size());
+    rows.push_back(row);
+    std::reverse(extremes.begin(), extremes.end());
+  }
+
+  const std::uint64_t fp = 0xd180d94558f98587ull;
+  for (const ResultRow& row : rows) {
+    const std::string payload = encode_put(fp, 0.5, row);
+    const auto dec = decode_put(payload);
+    ASSERT_TRUE(dec.has_value()) << payload;
+    expect_same_bits(dec->row, row);
+    EXPECT_EQ(encode_put(fp, dec->scale17, dec->row), payload);
+  }
+
+  const std::string path = "test_store_record_extremes.csv";
+  write_csv_v2(path, 0.5, fp, rows);
+  const std::vector<ResultRow> back = read_csv_v2(path, 0.5, fp, nullptr);
+  std::remove(path.c_str());
+  ASSERT_EQ(back.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(back[i].benchmark, rows[i].benchmark);
+    expect_same_bits(back[i], rows[i]);
+  }
 }
 
 }  // namespace
