@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
         work.push_back(sim::Job{
             std::string(name) + (squeezed ? "/8KB" : "/32KB") +
                 (adaptive ? "/adaptive" : "/TH1"),
-            [&, name, squeezed, adaptive, slot]() {
+            [&, name, squeezed, adaptive, slot](const sim::JobControl&) {
               sttl2::TwoPartBankConfig bank = sim::c1_bank_config();
               if (squeezed) bank.lr_bytes /= 4;  // 8KB per bank: easy to thrash
               bank.adaptive_threshold = adaptive;

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     for (const bool open_page : {false, true}) {
       work.push_back(sim::Job{
           std::string(name) + (open_page ? "/open" : "/closed"),
-          [&, name, open_page, slot]() {
+          [&, name, open_page, slot](const sim::JobControl&) {
             sim::ArchSpec sram = sim::make_arch(sim::Architecture::kSramBaseline);
             sim::ArchSpec c1 = sim::make_arch(sim::Architecture::kC1);
             sram.gpu.dram_open_page = open_page;

@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   for (const char* name : benchmarks) {
     for (const sim::Architecture arch : archs) {
       work.push_back(sim::Job{
-          std::string(sim::to_string(arch)) + "/" + name, [&, name, arch, slot]() {
+          std::string(sim::to_string(arch)) + "/" + name,
+          [&, name, arch, slot](const sim::JobControl&) {
             const sim::Metrics plain = run_arch(arch, name, scale, false);
             const sim::Metrics ewt = run_arch(arch, name, scale, true);
             rows[slot] = {name, sim::to_string(arch), TextTable::fmt(plain.dynamic_w, 3),

@@ -42,19 +42,20 @@ int main(int argc, char** argv) {
   std::size_t slot = 0;
   for (const char* name : benchmarks) {
     for (const Split& s : splits) {
-      work.push_back(sim::Job{std::string(name) + "/" + s.label, [&, name, s, slot]() {
-                               sttl2::TwoPartBankConfig bank = sim::c1_bank_config();
-                               bank.hr_bytes = s.hr_kb * 1024;
-                               bank.hr_assoc = s.hr_assoc;
-                               bank.lr_bytes = s.lr_kb * 1024;
-                               const sim::TwoPartProbe p = sim::run_two_part(name, bank, scale);
-                               rows[slot] = {name,
-                                             s.label,
-                                             TextTable::fmt_percent(p.lr_write_utilization),
-                                             std::to_string(p.counters.get("migrations")),
-                                             std::to_string(p.counters.get("lr_evictions")),
-                                             TextTable::fmt(p.metrics.ipc, 3)};
-                             }});
+      work.push_back(sim::Job{
+          std::string(name) + "/" + s.label, [&, name, s, slot](const sim::JobControl&) {
+            sttl2::TwoPartBankConfig bank = sim::c1_bank_config();
+            bank.hr_bytes = s.hr_kb * 1024;
+            bank.hr_assoc = s.hr_assoc;
+            bank.lr_bytes = s.lr_kb * 1024;
+            const sim::TwoPartProbe p = sim::run_two_part(name, bank, scale);
+            rows[slot] = {name,
+                          s.label,
+                          TextTable::fmt_percent(p.lr_write_utilization),
+                          std::to_string(p.counters.get("migrations")),
+                          std::to_string(p.counters.get("lr_evictions")),
+                          TextTable::fmt(p.metrics.ipc, 3)};
+          }});
       ++slot;
     }
   }

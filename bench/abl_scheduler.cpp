@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
     for (const gpu::SchedulerKind sched : scheds) {
       const char* sched_name = sched == gpu::SchedulerKind::kGto ? "GTO" : "LRR";
       work.push_back(sim::Job{
-          std::string(name) + "/" + sched_name, [&, name, sched, sched_name, slot]() {
+          std::string(name) + "/" + sched_name,
+          [&, name, sched, sched_name, slot](const sim::JobControl&) {
             sim::ArchSpec sram = sim::make_arch(sim::Architecture::kSramBaseline);
             sim::ArchSpec c1 = sim::make_arch(sim::Architecture::kC1);
             sram.gpu.scheduler = sched;

@@ -1,17 +1,18 @@
 // Simulator-throughput microbenchmark: simulated cycles per wall-second of
 // the two stepping loops — fastforward=0 (the plain per-cycle reference
-// loop) vs. fastforward=1 (the event-wheel loop with idle-cycle skip).
+// loop) vs. fastforward=1 (the event-driven loop: a wake table holding one
+// deadline per SM and L2 bank, with idle-cycle skip).
 //
 //   ./micro_sim_throughput [scale=1.0] [reps=3] [json=BENCH_sim_throughput.json]
 //
 // Two workloads bracket the design space:
 //   - drain-heavy: a sparse kernel (few warps, random DRAM-missing stream,
 //     inflated DRAM latency) whose execution is dominated by long quiescent
-//     waits — the case the event-wheel loop exists for. Expect a large
-//     speedup.
+//     waits — the case the event-driven loop exists for. Expect a large
+//     speedup (CI requires at least 20x at scale=0.25).
 //   - busy: the standard C1/bfs benchmark, where some component has work on
-//     almost every cycle — measures what the wheel bookkeeping costs when
-//     there is little to skip (expect ~1.0x, i.e. no regression).
+//     almost every cycle — measures what the scheduling bookkeeping costs
+//     when there is little to skip (expect ~1.0x, i.e. no regression).
 //
 // Every rep of every (workload, mode) pair is also checked for identical
 // simulated cycle and instruction counts — the loops must not change

@@ -2,97 +2,29 @@
 
 namespace sttgpu::cache {
 
-SetAssocCache::SetAssocCache(const CacheGeometry& geometry, const CachePolicies& policies,
-                             std::uint64_t seed)
-    : tags_(geometry, policies.replacement, seed),
-      policies_(policies),
-      write_stats_(geometry.num_sets(), geometry.associativity()) {}
-
 AccessOutcome SetAssocCache::access(Addr addr, AccessKind kind, Cycle now) {
+  const bool store = kind == AccessKind::kStore;
   AccessOutcome out;
-  const auto way = tags_.probe(addr);
-
-  if (kind == AccessKind::kLoad) {
-    if (way) {
-      ++counters_.load_hits;
-      tags_.touch(addr, *way);
-      out.hit = true;
-      return out;
-    }
-    ++counters_.load_misses;
-    out = do_fill(addr, now, /*dirty=*/false);
-    out.forward_downstream = true;  // fetch the line
-    return out;
-  }
-
-  // Store path.
-  if (way) {
-    ++counters_.store_hits;
+  if (const auto way = tags_.probe(addr)) {
+    ++(store ? counters_.store_hits : counters_.load_hits);
+    tags_.touch(addr, *way);
+    if (store) tags_.line(geometry().set_index(addr), *way).dirty = true;
     out.hit = true;
-    LineMeta& line = tags_.line(geometry().set_index(addr), *way);
-    switch (policies_.write_hit) {
-      case WriteHitPolicy::kWriteBack:
-        tags_.touch(addr, *way);
-        line.dirty = true;
-        line.write_count += 1;
-        line.last_write_cycle = now;
-        write_stats_.record_write(geometry().set_index(addr), *way);
-        break;
-      case WriteHitPolicy::kWriteThrough:
-        tags_.touch(addr, *way);
-        line.write_count += 1;
-        line.last_write_cycle = now;
-        write_stats_.record_write(geometry().set_index(addr), *way);
-        out.forward_downstream = true;
-        break;
-      case WriteHitPolicy::kWriteEvict:
-        // GPU L1 global-store policy: drop the (now stale) copy, forward.
-        tags_.invalidate(addr, *way);
-        out.forward_downstream = true;
-        break;
-    }
     return out;
   }
-
-  ++counters_.store_misses;
-  if (policies_.write_miss == WriteMissPolicy::kAllocate) {
-    out = do_fill(addr, now, /*dirty=*/true);
-    const auto filled = tags_.probe(addr);
-    STTGPU_ASSERT(filled.has_value());
-    write_stats_.record_write(geometry().set_index(addr), *filled);
-    out.forward_downstream = true;  // fetch-on-write
-  } else {
-    out.forward_downstream = true;  // write-no-allocate: pass through
-  }
-  return out;
-}
-
-AccessOutcome SetAssocCache::do_fill(Addr addr, Cycle now, bool dirty) {
-  AccessOutcome out;
+  ++(store ? counters_.store_misses : counters_.load_misses);
   const unsigned victim = tags_.pick_victim(addr);
   const std::uint64_t set = geometry().set_index(addr);
   if (tags_.valid(set, victim)) {
     ++counters_.evictions;
-    out.evicted = true;
-    out.evicted_addr = tags_.addr_of(set, victim);
     if (tags_.line(set, victim).dirty) {
       ++counters_.writebacks;
       out.writeback = true;
-      out.writeback_addr = out.evicted_addr;
+      out.writeback_addr = tags_.addr_of(set, victim);
     }
   }
-  LineMeta& line = tags_.fill(addr, victim, now);
-  line.dirty = dirty;
-  if (dirty) {
-    line.write_count = 1;
-    line.last_write_cycle = now;
-  }
+  tags_.fill(addr, victim, now).dirty = store;
   return out;
-}
-
-AccessOutcome SetAssocCache::fill_line(Addr addr, Cycle now, bool dirty) {
-  if (tags_.probe(addr)) return {};  // already resident (racing fill)
-  return do_fill(addr, now, dirty);
 }
 
 bool SetAssocCache::invalidate_line(Addr addr) {

@@ -1,54 +1,28 @@
-// A functional set-associative cache with configurable write policies.
+// A functional write-back, write-allocate set-associative cache: the
+// local-data path of the L1 in the paper's Figure 1b. Loads and stores
+// both allocate on a miss, and stores mark the line dirty. L1Complex routes
+// global-data stores (write-evict, write-no-allocate) around it.
 //
-// This class models hit/miss/eviction *behaviour* (no timing): the timing
-// wrappers in src/gpu attach latencies and queues around it. The write
-// policies cover the GPU hierarchy of the paper's Figure 1b:
-//
-//   * global-data stores at L1: write-evict on hit, write-no-allocate on
-//     miss (both forward the store to L2);
-//   * local-data stores at L1: write-back, write-allocate;
-//   * the SRAM L2: write-back, write-allocate.
+// This class models hit/miss/eviction *behaviour* (no timing): the SM
+// attaches latencies and queues around it.
 #pragma once
 
 #include <cstdint>
 
 #include "cache/geometry.hpp"
 #include "cache/tag_array.hpp"
-#include "cache/write_stats.hpp"
 #include "common/types.hpp"
 
 namespace sttgpu::cache {
 
 enum class AccessKind : std::uint8_t { kLoad, kStore };
 
-/// What a store does on a hit.
-enum class WriteHitPolicy : std::uint8_t {
-  kWriteBack,     ///< mark dirty, absorb the write
-  kWriteThrough,  ///< keep line clean, forward the write downstream
-  kWriteEvict,    ///< invalidate the line, forward the write downstream
-};
-
-/// Whether a store miss allocates the line.
-enum class WriteMissPolicy : std::uint8_t { kAllocate, kNoAllocate };
-
-struct CachePolicies {
-  WriteHitPolicy write_hit = WriteHitPolicy::kWriteBack;
-  WriteMissPolicy write_miss = WriteMissPolicy::kAllocate;
-  ReplacementKind replacement = ReplacementKind::kLru;
-};
-
 /// Result of one access against the functional cache.
 struct AccessOutcome {
   bool hit = false;
-  /// The access must be forwarded downstream (fill fetch or written-through /
-  /// evicted / non-allocated store).
-  bool forward_downstream = false;
   /// A dirty victim must be written back downstream.
   bool writeback = false;
   Addr writeback_addr = 0;
-  /// A (possibly clean) victim was displaced by a fill.
-  bool evicted = false;
-  Addr evicted_addr = 0;
 };
 
 struct CacheCounters {
@@ -70,36 +44,26 @@ struct CacheCounters {
 
 class SetAssocCache {
  public:
-  SetAssocCache(const CacheGeometry& geometry, const CachePolicies& policies,
-                std::uint64_t seed = 1);
+  explicit SetAssocCache(const CacheGeometry& geometry) : tags_(geometry) {}
 
-  /// Performs one access at time @p now and returns what must happen
-  /// downstream. Loads always allocate on miss.
+  /// Performs one access at time @p now; a miss allocates the line (dirty
+  /// for a store) and reports the victim's writeback, if any.
   AccessOutcome access(Addr addr, AccessKind kind, Cycle now);
 
   /// Invalidates @p addr's line if resident; returns true if it was dirty
   /// (the caller owns the resulting writeback).
   bool invalidate_line(Addr addr);
 
-  /// Direct fill used when a miss response returns in the timing model and
-  /// the line was not pre-allocated. Returns eviction info like access().
-  AccessOutcome fill_line(Addr addr, Cycle now, bool dirty);
-
   bool contains(Addr addr) const noexcept { return tags_.probe(addr).has_value(); }
 
   const CacheGeometry& geometry() const noexcept { return tags_.geometry(); }
   const CacheCounters& counters() const noexcept { return counters_; }
-  const WriteVariationTracker& write_stats() const noexcept { return write_stats_; }
   TagArray& tags() noexcept { return tags_; }
   const TagArray& tags() const noexcept { return tags_; }
 
  private:
-  AccessOutcome do_fill(Addr addr, Cycle now, bool dirty);
-
   TagArray tags_;
-  CachePolicies policies_;
   CacheCounters counters_;
-  WriteVariationTracker write_stats_;
 };
 
 }  // namespace sttgpu::cache

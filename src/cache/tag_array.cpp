@@ -4,24 +4,34 @@
 
 namespace sttgpu::cache {
 
-TagArray::TagArray(const CacheGeometry& geometry, ReplacementKind replacement,
-                   std::uint64_t seed)
+TagArray::TagArray(const CacheGeometry& geometry)
     : geom_(geometry),
       assoc_(geometry.associativity()),
-      words_per_set_(ValidBits::words_for(geometry.associativity())),
+      words_per_set_((geometry.associativity() + 63u) / 64u),
       tags_(geometry.num_lines(), 0),
-      valid_(geometry.num_sets() * ValidBits::words_for(geometry.associativity()), 0),
-      meta_(geometry.num_lines()),
-      repl_(make_replacement(replacement, geometry.num_sets(), geometry.associativity(),
-                             seed)) {}
+      valid_(geometry.num_sets() * words_per_set_, 0),
+      stamp_(geometry.num_lines(), 0),
+      meta_(geometry.num_lines()) {}
 
-void TagArray::touch(Addr addr, unsigned way) {
-  repl_->on_access(geom_.set_index(addr), way);
-}
-
-unsigned TagArray::pick_victim(Addr addr) {
+unsigned TagArray::pick_victim(Addr addr) const noexcept {
   const std::uint64_t set = geom_.set_index(addr);
-  return repl_->victim(set, valid_bits(set));
+  const std::uint64_t* words = valid_.data() + set * words_per_set_;
+  for (unsigned wi = 0; wi < words_per_set_; ++wi) {
+    const std::uint64_t clear = ~words[wi];
+    if (clear != 0) {
+      // Bits past assoc_ are never set, so they read as clear: only a way
+      // inside the set counts.
+      const unsigned w = wi * 64u + static_cast<unsigned>(std::countr_zero(clear));
+      if (w < assoc_) return w;
+      break;
+    }
+  }
+  const std::uint64_t* stamps = stamp_.data() + set * assoc_;
+  unsigned best = 0;
+  for (unsigned w = 1; w < assoc_; ++w) {
+    if (stamps[w] < stamps[best]) best = w;
+  }
+  return best;
 }
 
 LineMeta& TagArray::fill(Addr addr, unsigned way, Cycle now) {
@@ -29,18 +39,19 @@ LineMeta& TagArray::fill(Addr addr, unsigned way, Cycle now) {
   STTGPU_ASSERT(way < assoc_);
   tags_[set * assoc_ + way] = geom_.tag_of(addr);
   valid_[set * words_per_set_ + (way >> 6)] |= std::uint64_t{1} << (way & 63u);
+  stamp_[set * assoc_ + way] = ++tick_;
   LineMeta& line = meta_[set * assoc_ + way];
   line = LineMeta{};
   line.insert_cycle = now;
-  repl_->on_insert(set, way);
   return line;
 }
 
 void TagArray::invalidate(Addr addr, unsigned way) {
   const std::uint64_t set = geom_.set_index(addr);
   STTGPU_ASSERT(way < assoc_);
+  // The way's stamp stays: an invalid way is always the victim first, and
+  // the fill that revalidates it stamps it afresh.
   valid_[set * words_per_set_ + (way >> 6)] &= ~(std::uint64_t{1} << (way & 63u));
-  repl_->on_invalidate(set, way);
 }
 
 LineMeta& TagArray::line(std::uint64_t set, unsigned way) {

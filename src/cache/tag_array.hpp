@@ -1,15 +1,19 @@
-// Tag array: storage + lookup for a set-associative structure, decoupled
-// from any particular timing or write policy so both the conventional
-// caches (L1s, SRAM L2) and the two-part STT-RAM L2 can build on it.
+// Tag array: storage, lookup and LRU replacement for a set-associative
+// structure, decoupled from any particular timing or write policy so both
+// the L1s and the uniform and two-part L2 banks can build on it.
 //
 // Storage is struct-of-arrays: the fields every probe and victim selection
-// reads — tags and packed per-set valid bitmaps — live in dense hot lanes,
-// while the per-line bookkeeping touched only on decided hits and
-// evictions (dirty bit, write counts, retention/fault deadlines) sits in a
-// parallel cold LineMeta array. A probe walks one 64-bit valid word and a
-// few adjacent tags instead of dragging full metadata structs through the
-// cache, and victim selection lends the valid word straight to the
-// replacement policy without materialising a mask.
+// reads — tags, packed per-set valid bitmaps and last-use stamps — live in
+// dense hot lanes, while the per-line bookkeeping touched only on decided
+// hits and evictions (dirty bit, write counts, retention/fault deadlines)
+// sits in a parallel cold LineMeta array. A probe walks one 64-bit valid
+// word and a few adjacent tags instead of dragging full metadata structs
+// through the cache.
+//
+// Replacement is true LRU, as in every cache of GPGPU-Sim's reference
+// configuration: each fill and touch stamps the way from one counter per
+// array, and the victim is the first invalid way, else the oldest stamp
+// (the lowest way on ties).
 #pragma once
 
 #include <bit>
@@ -18,7 +22,6 @@
 #include <vector>
 
 #include "cache/geometry.hpp"
-#include "cache/replacement.hpp"
 #include "common/simd.hpp"
 #include "common/types.hpp"
 
@@ -40,13 +43,12 @@ struct LineMeta {
 
 class TagArray {
  public:
-  TagArray(const CacheGeometry& geometry, ReplacementKind replacement,
-           std::uint64_t seed = 1);
+  explicit TagArray(const CacheGeometry& geometry);
 
   const CacheGeometry& geometry() const noexcept { return geom_; }
 
   /// Finds the way holding @p addr's line, if resident. Does not touch
-  /// replacement state (use touch() on a decided hit). The tag lane is
+  /// LRU state (use touch() on a decided hit). The tag lane is
   /// compared word-parallel (SIMD where available, scalar otherwise — same
   /// result either way) and masked with the packed valid bits, so a probe
   /// is straight-line compares instead of a branchy per-way walk.
@@ -64,12 +66,14 @@ class TagArray {
     return std::nullopt;
   }
 
-  /// Marks (set, way) most-recently-used.
-  void touch(Addr addr, unsigned way);
+  /// Marks (set-of-addr, way) most-recently-used.
+  void touch(Addr addr, unsigned way) noexcept {
+    stamp_[geom_.set_index(addr) * assoc_ + way] = ++tick_;
+  }
 
-  /// Picks the victim way for @p addr's set (an invalid way if any).
-  /// Allocation-free: the set's packed valid word is lent to the policy.
-  unsigned pick_victim(Addr addr);
+  /// Picks the victim way for @p addr's set: the first invalid way, else
+  /// the least-recently-used one.
+  unsigned pick_victim(Addr addr) const noexcept;
 
   /// Installs @p addr's line into (its set, @p way), overwriting whatever is
   /// there. Caller is responsible for having handled the previous occupant.
@@ -93,13 +97,7 @@ class TagArray {
     return geom_.addr_of_tag(tag(set, way));
   }
 
-  /// Borrowed view of @p set's packed valid bits.
-  ValidBits valid_bits(std::uint64_t set) const noexcept {
-    return {valid_.data() + set * words_per_set_, assoc_};
-  }
-
-  /// Valid-bit vector for @p set (tests/diagnostics; hot paths use
-  /// valid_bits()).
+  /// Valid-bit vector for @p set (tests/diagnostics).
   std::vector<bool> valid_mask(std::uint64_t set) const;
 
   /// Number of valid lines across the whole array.
@@ -129,8 +127,9 @@ class TagArray {
   unsigned words_per_set_;
   std::vector<Addr> tags_;            // hot: sets x ways
   std::vector<std::uint64_t> valid_;  // hot: sets x words_per_set_ packed bits
+  std::vector<std::uint64_t> stamp_;  // hot: sets x ways last-use stamps
   std::vector<LineMeta> meta_;        // cold: sets x ways
-  std::unique_ptr<ReplacementPolicy> repl_;
+  std::uint64_t tick_ = 0;            // last stamp handed out
 };
 
 }  // namespace sttgpu::cache

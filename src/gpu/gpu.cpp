@@ -32,7 +32,7 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
   sms_.reserve(config_.num_sms);
   senders_.reserve(config_.num_sms);
   for (unsigned s = 0; s < config_.num_sms; ++s) {
-    sms_.push_back(std::make_unique<Sm>(s, config_, /*seed=*/1000 + s));
+    sms_.push_back(std::make_unique<Sm>(s, config_));
     senders_.push_back([this, s](Addr addr, bool is_store) -> std::uint64_t {
       const std::uint64_t id = next_request_id_++;
       L2Request req;
@@ -43,17 +43,16 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
       req.created = now_;
       const unsigned b = bank_of(addr);
       const Cycle arrival = icnt_.send_request(b, req, now_);
-      if (wheel_.has_value()) {
+      if (wake_.has_value()) {
         // Sends fired outside a step (L1 flush at now_) must land this very
-        // cycle when the fabric is latency-free; the wheel's clamp would
+        // cycle when the fabric is latency-free; the table's clamp would
         // defer them to the next pop, so arm due_now_mask_ out of band.
-        // Next-cycle arrivals ride the same mask: it is consumed by the
-        // very next pop, which skips the wheel's bucket round trip for the
-        // back-to-back case.
+        // Next-cycle arrivals ride the same mask, which the very next step
+        // consumes.
         if (arrival <= now_ + 1) {
           due_now_mask_ |= 1ull << b;
         } else {
-          wheel_->post(b, arrival);
+          wake_->post(b, arrival);
         }
       }
       return id;
@@ -61,12 +60,12 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
   }
   if (config_.fast_forward) {
     const unsigned ids = config_.num_l2_banks + config_.num_sms;
-    STTGPU_REQUIRE(ids <= sim::EventWheel::kMaxIds,
-                   "Gpu: fast_forward schedules SMs + L2 banks on a 64-id event wheel; "
+    STTGPU_REQUIRE(ids <= sim::WakeTable::kMaxIds,
+                   "Gpu: fast_forward schedules SMs + L2 banks in a 64-id wake table; "
                    "this config has " + std::to_string(config_.num_sms) + " SMs + " +
                        std::to_string(config_.num_l2_banks) +
                        " banks — reduce them or disable fast_forward");
-    wheel_.emplace(ids);
+    wake_.emplace(ids);
     sm_id_base_ = config_.num_l2_banks;
     bank_mask_ = (config_.num_l2_banks == 64) ? ~0ull : ((1ull << config_.num_l2_banks) - 1);
     sm_mask_ = ((ids == 64) ? ~0ull : ((1ull << ids) - 1)) & ~bank_mask_;
@@ -129,15 +128,15 @@ std::string Gpu::state_dump() const {
   os << "\n    icnt express/queued: requests " << icnt_.request_express() << '/'
      << icnt_.request_queued() << ", responses " << icnt_.response_express() << '/'
      << icnt_.response_queued();
-  if (wheel_.has_value()) {
-    // The wheel cannot be mutated here (state_dump is const), so report the
-    // cheap O(1) gauges; a stale far-heap top only matters for the next
-    // deadline, which pop/next_deadline prune on the hot path.
-    os << "\n    wheel: posted ids " << wheel_->posted_ids() << ", occupied buckets "
-       << wheel_->occupied_buckets() << " (high water " << wheel_->bucket_high_water()
-       << "), far heap " << wheel_->far_size() << " (high water "
-       << wheel_->far_high_water() << "), due-now mask 0x" << std::hex << due_now_mask_
-       << std::dec;
+  if (wake_.has_value()) {
+    const Cycle next = wake_->next_deadline();
+    os << "\n    wake table: next deadline ";
+    if (next == kNoCycle) {
+      os << "none";
+    } else {
+      os << next;
+    }
+    os << ", due-now mask 0x" << std::hex << due_now_mask_ << std::dec;
   }
   return os.str();
 }
@@ -160,16 +159,14 @@ unsigned Gpu::bank_of(Addr addr) const noexcept {
 }
 
 void Gpu::step() {
-  if (!wheel_.has_value()) {
+  if (!wake_.has_value()) {
     step_reference();
     return;
   }
-  // The plain loop's phase order, but the due set comes from the wheel: one
-  // pop yields the exact components with something at or before now_ (plus
-  // out-of-band arrivals armed via due_now_mask_ and any stranded stale
-  // entries, whose spurious wakes are no-op ticks by the conservative
-  // next-event contract every component honours).
-  const std::uint64_t due = wheel_->pop_due(now_) | due_now_mask_;
+  // The plain loop's phase order, but the due set comes from the table: one
+  // pop yields the exact components with something at or before now_, plus
+  // the out-of-band arrivals armed via due_now_mask_.
+  const std::uint64_t due = wake_->pop_due(now_) | due_now_mask_;
   due_now_mask_ = 0;
 
   const std::uint64_t due_banks = due & bank_mask_;
@@ -194,13 +191,13 @@ void Gpu::step() {
     if (dram_next < lane) lane = dram_next;
     if (bank_next < lane) lane = bank_next;
     // Due-next components ride due_now_mask_ (consumed by the very next
-    // pop), skipping a wheel bucket round trip for the dominant
-    // back-to-back case; deadlines at or before now_ (e.g. a backpressured
-    // queue front) fold into the same mask — exactly the wheel's clamp.
+    // step), which keeps the dominant back-to-back case out of the table;
+    // deadlines at or before now_ (e.g. a backpressured queue front) fold
+    // into the same mask — exactly the table's clamp.
     if (lane <= now_ + 1) {
       due_now_mask_ |= 1ull << b;
     } else if (lane != kNoCycle) {
-      wheel_->post(b, lane);
+      wake_->post(b, lane);
     }
   }
   std::uint64_t sm_bits = due & sm_mask_;
@@ -212,7 +209,7 @@ void Gpu::step() {
     } else if (arrival == now_ + 1) {
       due_now_mask_ |= 1ull << id;
     } else {
-      wheel_->post(id, arrival);
+      wake_->post(id, arrival);
     }
   }
   while (sm_bits != 0) {
@@ -245,7 +242,7 @@ void Gpu::step() {
     if (lane <= now_ + 1) {
       due_now_mask_ |= 1ull << id;
     } else if (lane != kNoCycle) {
-      wheel_->post(id, lane);
+      wake_->post(id, lane);
     }
   }
   ++now_;
@@ -276,7 +273,8 @@ void Gpu::step_reference() {
   }
   ++now_;
   // Interval boundary: every cycle < now_ is fully processed, cycle now_ has
-  // not started — the exact state the wheel loop's fast-forward reproduces.
+  // not started — the exact state the event-driven loop's fast-forward
+  // reproduces.
   // tel_next_ is kNoCycle when telemetry is off, so this never fires then.
   if (now_ == tel_next_) {
     telemetry_sample(now_);
@@ -294,15 +292,15 @@ void Gpu::flush_sm_accounting(Cycle at) {
 }
 
 void Gpu::fast_forward() {
-  // The wheel answers "earliest deadline" in O(1)-ish (circular occupancy
-  // scan), so every quiescent cycle gets a skip attempt. Skipped SM idle
-  // accounting is deferred (sm_acct_), so only telemetry boundaries need
-  // walking here — each sample flushes the accounting up to its own
-  // boundary, at exactly the cycle the plain loop would have sampled.
+  // The table caches its earliest deadline, so every quiescent cycle gets a
+  // skip attempt. Skipped SM idle accounting is deferred (sm_acct_), so only
+  // telemetry boundaries need walking here — each sample flushes the
+  // accounting up to its own boundary, at exactly the cycle the plain loop
+  // would have sampled.
   // kNoCycle (nothing scheduled anywhere) falls through to plain stepping so
   // a livelocked configuration still hits the cycle ceiling diagnostics.
-  if (!wheel_.has_value() || due_now_mask_ != 0) return;
-  const Cycle next = wheel_->next_deadline();
+  if (!wake_.has_value() || due_now_mask_ != 0) return;
+  const Cycle next = wake_->next_deadline();
   if (next == kNoCycle || next <= now_) return;
   while (tel_next_ <= next) {
     telemetry_sample(tel_next_);
@@ -437,10 +435,6 @@ RunResult Gpu::run(const workload::Workload& workload) {
   r.sched.icnt_request_queued = icnt_.request_queued();
   r.sched.icnt_response_express = icnt_.response_express();
   r.sched.icnt_response_queued = icnt_.response_queued();
-  if (wheel_.has_value()) {
-    r.sched.wheel_bucket_high_water = wheel_->bucket_high_water();
-    r.sched.wheel_far_high_water = wheel_->far_high_water();
-  }
   return r;
 }
 

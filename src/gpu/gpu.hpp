@@ -16,15 +16,14 @@
 #include "gpu/interconnect.hpp"
 #include "gpu/l2_bank.hpp"
 #include "gpu/sm.hpp"
-#include "sim/event_wheel.hpp"
+#include "sim/wake_table.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace sttgpu::gpu {
 
-/// Scheduler/transport diagnostics of a run. Purely observational: the
-/// express/queued splits are contention properties of the simulated machine
-/// (identical in both stepping loops); the wheel fields describe the
-/// event-wheel scheduler itself and read zero under fast_forward=false.
+/// Transport diagnostics of a run. Purely observational: the express/queued
+/// splits are contention properties of the simulated machine, identical in
+/// both stepping loops.
 struct SchedulerDiag {
   std::uint64_t icnt_request_express = 0;  ///< admits with zero port backlog
   std::uint64_t icnt_request_queued = 0;   ///< admits behind earlier traffic
@@ -32,8 +31,6 @@ struct SchedulerDiag {
   std::uint64_t icnt_response_queued = 0;
   std::uint64_t dram_express_reads = 0;
   std::uint64_t dram_queued_reads = 0;
-  unsigned wheel_bucket_high_water = 0;     ///< peak occupied near buckets
-  std::uint64_t wheel_far_high_water = 0;   ///< peak far-heap size
 };
 
 /// Everything a run produces.
@@ -89,19 +86,19 @@ class Gpu {
   void run_kernel(const workload::KernelSpec& kernel, std::uint64_t seed);
   void drain_memory();
   bool memory_idle() const;
-  /// Advances one cycle. With fast_forward (the default) the event wheel
+  /// Advances one cycle. With fast_forward (the default) the wake table
   /// pops the exact due set (banks then SMs, ascending id — the reference
   /// loop's order), so a cycle touches only components with something due;
   /// every skipped call is provably a no-op by the conservative next-event
   /// contract each component honours. Every schedule-advancing mutation
-  /// re-posts to the wheel; skipped SMs get their idle/stall accounting in
+  /// re-posts to the table; skipped SMs get their idle/stall accounting in
   /// deferred batches (exact: between activations nothing mutates an SM, so
   /// the per-cycle classification is constant over the gap), flushed at
   /// every observation point. Without fast_forward it runs step_reference().
   void step();
 
-  /// Plain per-cycle loop over every component — the reference the wheel
-  /// loop must match byte for byte (fast_forward=false).
+  /// Plain per-cycle loop over every component — the reference the
+  /// event-driven loop must match byte for byte (fast_forward=false).
   void step_reference();
 
   /// Catches up deferred SM idle/stall accounting to @p at (exclusive); a
@@ -111,7 +108,7 @@ class Gpu {
   void flush_sm_accounting(Cycle at);
 
   /// Event-driven fast-forward: when nothing is due this cycle, jump now_
-  /// straight to the wheel's earliest deadline (skipped cycles would have
+  /// straight to the table's earliest deadline (skipped cycles would have
   /// been pure no-ops except SM idle accounting, which is deferred). No-op
   /// under the reference loop. Telemetry boundaries inside the skipped
   /// stretch are sampled at exactly the cycle the reference loop would have
@@ -162,17 +159,17 @@ class Gpu {
   std::vector<L2Response> sm_resp_scratch_;  ///< per-SM same-cycle batch
   std::vector<SendTxnFn> senders_;  ///< one bound sender per SM
 
-  // Event-wheel state, present iff fast_forward. Component ids: bank b -> b,
+  // Event-driven state, present iff fast_forward. Component ids: bank b -> b,
   // SM s -> sm_id_base_ + s (the constructor rejects configs whose ids
-  // overflow the wheel's 64). A component's deadline covers its partition:
+  // overflow the table's 64). A component's deadline covers its partition:
   // bank b's interconnect request queue, DRAM channel and the bank itself;
-  // SM s plus its interconnect response queue. The wheel holds one live
-  // deadline per id (see sim/event_wheel.hpp); due_now_mask_ arms
+  // SM s plus its interconnect response queue. The table holds one
+  // deadline per id (see sim/wake_table.hpp); due_now_mask_ arms
   // components for the *current* cycle out of band (kernel starts,
   // zero-latency sends landing behind this cycle's pop). sm_acct_[s] is the
   // first cycle not yet covered by SM s's idle/stall accounting; see
   // flush_sm_accounting().
-  std::optional<sim::EventWheel> wheel_;
+  std::optional<sim::WakeTable> wake_;
   std::uint64_t due_now_mask_ = 0;
   std::uint64_t bank_mask_ = 0;
   std::uint64_t sm_mask_ = 0;

@@ -69,11 +69,11 @@ struct GpuConfig {
   unsigned max_outstanding_load_txn = 64;   ///< per SM
   unsigned max_outstanding_store_txn = 64;  ///< per SM
 
-  /// Event-driven stepping. true (default): a hierarchical event wheel
-  /// schedules the SMs and L2 bank partitions — each cycle runs only the
-  /// components with something due, skipped SMs get their idle/stall
-  /// accounting in deferred batches, and quiescent stretches are jumped in
-  /// one step to the wheel's next deadline. The wheel has 64 ids, so
+  /// Event-driven stepping. true (default): a wake table holding one
+  /// deadline per SM and L2 bank partition schedules them — each cycle runs
+  /// only the components with something due, skipped SMs get their
+  /// idle/stall accounting in deferred batches, and quiescent stretches are
+  /// jumped in one step to the earliest deadline. The table has 64 ids, so
   /// num_sms + num_l2_banks must be <= 64 (the Gpu rejects larger configs).
   /// false: the plain per-cycle reference loop over every component. A pure
   /// scheduling choice — all reported metrics are byte-identical either way

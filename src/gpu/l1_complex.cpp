@@ -16,18 +16,10 @@ cache::CacheGeometry l1t_geom(const GpuConfig& c) {
   return {c.l1t_size, c.l1t_assoc, c.l1t_line};
 }
 
-cache::CachePolicies writeback_policies() {
-  // Local-data policy; loads always allocate.
-  return {cache::WriteHitPolicy::kWriteBack, cache::WriteMissPolicy::kAllocate,
-          cache::ReplacementKind::kLru};
-}
-
 }  // namespace
 
-L1Complex::L1Complex(const GpuConfig& config, std::uint64_t seed)
-    : l1d_(l1d_geom(config), writeback_policies(), seed),
-      l1c_(l1c_geom(config), writeback_policies(), seed + 1),
-      l1t_(l1t_geom(config), writeback_policies(), seed + 2) {}
+L1Complex::L1Complex(const GpuConfig& config)
+    : l1d_(l1d_geom(config)), l1c_(l1c_geom(config)), l1t_(l1t_geom(config)) {}
 
 cache::SetAssocCache& L1Complex::cache_for(workload::MemSpace space) {
   switch (space) {
@@ -52,9 +44,8 @@ L1Outcome L1Complex::access(Addr addr, workload::WarpInstr::Kind kind,
       out.hit = true;
       return out;
     }
-    // Count the miss without perturbing the array until the line returns.
+    // The miss is counted by fill(), which allocates the line on return.
     out.send_read = true;
-    (void)c.counters();  // miss is recorded on fill()
     return out;
   }
 

@@ -36,7 +36,7 @@ struct L1Outcome {
 
 class L1Complex {
  public:
-  L1Complex(const GpuConfig& config, std::uint64_t seed);
+  explicit L1Complex(const GpuConfig& config);
 
   /// One 128B (64B for texture) transaction against the right cache.
   L1Outcome access(Addr addr, workload::WarpInstr::Kind kind, workload::MemSpace space,
@@ -50,8 +50,6 @@ class L1Complex {
   std::vector<Addr> flush();
 
   const cache::CacheCounters& data_counters() const noexcept { return l1d_.counters(); }
-  const cache::CacheCounters& const_counters() const noexcept { return l1c_.counters(); }
-  const cache::CacheCounters& texture_counters() const noexcept { return l1t_.counters(); }
 
  private:
   cache::SetAssocCache& cache_for(workload::MemSpace space);

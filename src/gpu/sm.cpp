@@ -16,8 +16,7 @@ namespace {
 constexpr Cycle kWakeLatency = 4;
 }  // namespace
 
-Sm::Sm(unsigned id, const GpuConfig& config, std::uint64_t seed)
-    : id_(id), config_(&config), seed_(seed), l1_(config, seed * 7919 + id) {}
+Sm::Sm(unsigned id, const GpuConfig& config) : id_(id), config_(&config), l1_(config) {}
 
 void Sm::start_kernel(const workload::KernelSpec& kernel, std::deque<unsigned> block_queue,
                       unsigned resident_blocks, std::uint64_t warps_in_grid,

@@ -50,7 +50,7 @@ struct SmStats {
 
 class Sm {
  public:
-  Sm(unsigned id, const GpuConfig& config, std::uint64_t seed);
+  Sm(unsigned id, const GpuConfig& config);
 
   /// Begins executing @p kernel with the given block queue and residency.
   /// The spec is copied: the caller's object need not outlive the kernel
@@ -184,7 +184,6 @@ class Sm {
 
   unsigned id_;
   const GpuConfig* config_;
-  std::uint64_t seed_;
   L1Complex l1_;
 
   // Kernel state

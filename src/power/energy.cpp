@@ -1,7 +1,5 @@
 #include "power/energy.hpp"
 
-#include "common/error.hpp"
-
 namespace sttgpu::power {
 
 PicoJoule EnergyLedger::category_pj(const std::string& category) const {
@@ -27,17 +25,6 @@ void EnergyLedger::reset() {
   values_.clear();
   index_.clear();
   total_pj_ = 0.0;
-}
-
-PowerReport PowerReport::from_run(const EnergyLedger& ledger, Watt leakage_w,
-                                  double runtime_s) {
-  STTGPU_REQUIRE(runtime_s > 0.0, "PowerReport: runtime must be positive");
-  PowerReport r;
-  r.runtime_s = runtime_s;
-  r.dynamic_w = ledger.total_pj() * 1e-12 / runtime_s;
-  r.leakage_w = leakage_w;
-  r.total_w = r.dynamic_w + r.leakage_w;
-  return r;
 }
 
 }  // namespace sttgpu::power

@@ -1,9 +1,9 @@
-// Dynamic-energy accounting and power reporting.
+// Dynamic-energy accounting.
 //
 // Components charge events to an EnergyLedger under named categories
 // ("l2.tag_probe", "l2.data_write", "l2.refresh", ...). At the end of a run
-// PowerReport converts accumulated energy plus static leakage into the
-// dynamic / leakage / total wattages the paper's Figures 8b and 8c plot.
+// sim::metrics_of converts the accumulated energy plus static leakage into
+// the dynamic and total wattages the paper's Figures 8b and 8c plot.
 //
 // Hot-path interning: the per-access charge sites (the L2 banks) resolve
 // their category names to dense EnergyId handles once at construction and
@@ -61,16 +61,6 @@ class EnergyLedger {
   std::vector<PicoJoule> values_;    ///< id -> accumulated energy
   std::unordered_map<std::string, EnergyId> index_;
   PicoJoule total_pj_ = 0.0;
-};
-
-/// Power summary over a run of known duration.
-struct PowerReport {
-  Watt dynamic_w = 0.0;
-  Watt leakage_w = 0.0;
-  Watt total_w = 0.0;
-  double runtime_s = 0.0;
-
-  static PowerReport from_run(const EnergyLedger& ledger, Watt leakage_w, double runtime_s);
 };
 
 }  // namespace sttgpu::power

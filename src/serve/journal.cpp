@@ -3,12 +3,14 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 #include <string_view>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/atomic_file.hpp"
 #include "store/wal.hpp"
 
 namespace sttgpu::serve {
@@ -56,7 +58,7 @@ void Journal::say(const std::string& line) const {
 
 Journal::Journal(std::string path, std::function<void(const std::string&)> log)
     : path_(std::move(path)), log_(std::move(log)) {
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     throw JournalError("cannot open journal " + path_ + ": " + std::strerror(errno));
   }
@@ -138,9 +140,11 @@ Journal::Journal(std::string path, std::function<void(const std::string&)> log)
   // (truncated as a torn tail by the rewrite below).
   //
   // A dirty file (retired pairs, corruption, torn tail) is compacted to
-  // just the meta + open subs by an atomic rewrite (temp + fsync + rename).
-  // Both use plain write(2) — only live appends go through wal_append and
-  // its crash-injection budget.
+  // just the meta + open subs by atomic_write_file (temp + fsync + rename +
+  // directory fsync), so the `sub` records later fsync'd into the new inode
+  // cannot be lost with a rename that never reached the disk. Neither path
+  // goes through wal_append and its crash-injection budget — only live
+  // appends do.
   const bool fresh = buf.empty();
   const bool dirty = retired > 0 || !report.clean();
   if (fresh) {
@@ -156,31 +160,16 @@ Journal::Journal(std::string path, std::function<void(const std::string&)> log)
     std::string out;
     out += store::frame_record(kJournalMeta);
     for (const auto& [id, json] : open_) out += store::frame_record(sub_payload(id, json));
-    const std::string tmp = path_ + ".tmp";
-    const int tfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (tfd < 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd_);
-      fd_ = -1;
-      throw JournalError("cannot rewrite journal " + tmp + ": " + why);
-    }
-    if (!write_fully(tfd, out)) {
-      const std::string why = std::strerror(errno);
-      ::close(tfd);
-      ::close(fd_);
-      fd_ = -1;
-      throw JournalError("cannot rewrite journal " + tmp + ": " + why);
-    }
-    ::fsync(tfd);
-    ::close(tfd);
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd_);
-      fd_ = -1;
-      throw JournalError("cannot install rewritten journal " + path_ + ": " + why);
-    }
     ::close(fd_);
-    fd_ = ::open(path_.c_str(), O_RDWR, 0644);
+    fd_ = -1;
+    try {
+      atomic_write_file(path_, [&](std::ostream& os) {
+        os.write(out.data(), static_cast<std::streamsize>(out.size()));
+      });
+    } catch (const SimError& e) {
+      throw JournalError("cannot rewrite journal " + path_ + ": " + e.what());
+    }
+    fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC, 0644);
     if (fd_ < 0) {
       throw JournalError("cannot reopen journal " + path_ + ": " + std::strerror(errno));
     }

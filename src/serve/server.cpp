@@ -320,7 +320,7 @@ struct SweepServer::Impl {
     std::optional<store::ResultRow> row;
     std::vector<sim::Job> jobs(1);
     jobs[0].label = t->job.arch + "/" + t->job.bench;
-    jobs[0].supervised = [&](const sim::JobControl& ctl) {
+    jobs[0].fn = [&](const sim::JobControl& ctl) {
       const std::string line = run_sandboxed(
           t->job, so, ctl, children, [this, &t](const std::string& event) {
             fan_out_event(*t, event);

@@ -83,12 +83,11 @@ class CriticalSection {
 };
 
 /// One unit of work. @p label identifies the job in error messages and
-/// progress lines (the matrix uses "arch/benchmark"). Exactly one of fn /
-/// supervised should be set; supervised is preferred when both are.
+/// progress lines (the matrix uses "arch/benchmark"); @p fn runs it, with
+/// the handles it may use to cooperate with the supervisor.
 struct Job {
   std::string label;
-  std::function<void()> fn;
-  std::function<void(const JobControl&)> supervised = {};
+  std::function<void(const JobControl&)> fn;
 };
 
 /// Worker count used for jobs=auto: hardware_concurrency, floor 1.

@@ -102,7 +102,7 @@ const std::vector<KnobSpec>& knob_registry() {
       {"trace", Type::kString, "l2.trace", "L2 demand-stream trace path",
        kKnobRecord | kKnobReplay},
       {"fastforward", Type::kBool, "1",
-       "event-wheel stepping with idle-cycle skip (0 = plain per-cycle reference "
+       "event-driven stepping with idle-cycle skip (0 = plain per-cycle reference "
        "loop); results are identical either way",
        kRunMatrixRecordSubmit},
       {"faults", Type::kBool, "0", "seeded STT-RAM retention/write-failure injector",

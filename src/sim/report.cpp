@@ -126,10 +126,8 @@ void write_run_json(std::ostream& os, const Metrics& metrics, const gpu::RunResu
   w.key("stall_cycles").value(run.sm.stall_cycles);
   w.end_object();
 
-  // Transport/scheduler observability: express vs queued splits are
-  // contention facts of the simulated machine (identical in both stepping
-  // loops); the wheel high-water marks describe the event-wheel scheduler
-  // and read zero under fastforward=0.
+  // Transport observability: express vs queued splits are contention facts
+  // of the simulated machine, identical in both stepping loops.
   w.key("scheduler").begin_object();
   w.key("icnt_request_express").value(run.sched.icnt_request_express);
   w.key("icnt_request_queued").value(run.sched.icnt_request_queued);
@@ -137,9 +135,6 @@ void write_run_json(std::ostream& os, const Metrics& metrics, const gpu::RunResu
   w.key("icnt_response_queued").value(run.sched.icnt_response_queued);
   w.key("dram_express_reads").value(run.sched.dram_express_reads);
   w.key("dram_queued_reads").value(run.sched.dram_queued_reads);
-  w.key("wheel_bucket_high_water")
-      .value(static_cast<std::uint64_t>(run.sched.wheel_bucket_high_water));
-  w.key("wheel_far_high_water").value(run.sched.wheel_far_high_water);
   w.end_object();
 
   if (faults != nullptr && faults->enabled) {

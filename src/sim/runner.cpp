@@ -9,8 +9,8 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
@@ -122,6 +122,19 @@ bool same_row(const store::ResultRow& a, const store::ResultRow& b) {
     return out;
   };
   return a.arch == b.arch && a.benchmark == b.benchmark && bits(a) == bits(b);
+}
+
+/// The row for (arch, benchmark) in @p rows, which are sorted by
+/// (arch, benchmark) as ResultStore::rows_for returns them; null if absent.
+const store::ResultRow* find_row(const std::vector<store::ResultRow>& rows,
+                                 const std::string& arch, const std::string& benchmark) {
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), std::tie(arch, benchmark),
+      [](const store::ResultRow& r, const auto& key) {
+        return std::tie(r.arch, r.benchmark) < key;
+      });
+  if (it == rows.end() || it->arch != arch || it->benchmark != benchmark) return nullptr;
+  return &*it;
 }
 
 // Serializes everything a cached Metrics row depends on: the resolved
@@ -249,6 +262,9 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
   // lacks — the one-time migration for pre-store caches. On key conflicts
   // the store wins: it is the durable source of truth, the CSV an export.
   std::unique_ptr<store::ResultStore> db;
+  // The store's rows for this (fingerprint, scale), sorted: one snapshot
+  // serves the migration check, the freshness check and the slot lookups.
+  std::vector<store::ResultRow> stored;
   bool csv_fresh = true;  ///< CSV export already mirrors the store's rows
   if (!cache_path.empty()) {
     store::StoreOptions so;
@@ -258,14 +274,16 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
                                               so);
     std::vector<store::ResultRow> csv_rows =
         store::read_csv_v2(cache_path, scale, fp, so.log);
+    stored = db->rows_for(fp, scale);
     std::vector<store::ResultRow> migrate;
     for (const store::ResultRow& r : csv_rows) {
-      if (!db->get(fp, scale, r.arch, r.benchmark)) migrate.push_back(r);
+      if (find_row(stored, r.arch, r.benchmark) == nullptr) migrate.push_back(r);
     }
     if (!migrate.empty()) {
       db->put_many(fp, scale, migrate);
       log_line("[store] " + db->path() + ": migrated " + std::to_string(migrate.size()) +
                " row" + (migrate.size() == 1 ? "" : "s") + " from " + cache_path);
+      stored = db->rows_for(fp, scale);
     }
     // Is the CSV already a faithful export? Compare its rows with the store's
     // in (arch, benchmark) order, bit for bit (as equal 17-digit texts would;
@@ -274,7 +292,6 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
     std::sort(csv_rows.begin(), csv_rows.end(), [](const auto& a, const auto& b) {
       return a.arch != b.arch ? a.arch < b.arch : a.benchmark < b.benchmark;
     });
-    const std::vector<store::ResultRow> stored = db->rows_for(fp, scale);
     csv_fresh =
         std::equal(csv_rows.begin(), csv_rows.end(), stored.begin(), stored.end(), same_row);
   }
@@ -297,8 +314,7 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
       // interrupted slot still says which (arch, benchmark) it was.
       rows[slot].arch = spec.name;
       rows[slot].benchmark = name;
-      const auto hit = db ? db->get(fp, scale, spec.name, name) : std::nullopt;
-      if (hit) {
+      if (const store::ResultRow* hit = find_row(stored, spec.name, name)) {
         rows[slot] = *hit;
       } else {
         pending.push_back(Pending{slot, spec, name});
@@ -319,7 +335,7 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
   for (const Pending& p : pending) {
     Job job;
     job.label = p.spec.name + "/" + p.benchmark;
-    job.supervised = [&, p](const JobControl& ctl) {
+    job.fn = [&, p](const JobControl& ctl) {
       const workload::Workload w = workload::make_benchmark(p.benchmark, scale);
       // opts.telemetry/inspect are guaranteed null above; run_one applies
       // the shared fast_forward/faults knobs to this run's spec copy. The

@@ -160,11 +160,7 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
       slot.attempt_start_ms.store(now_ms(), std::memory_order_release);
       try {
         const JobControl ctl{&slot.token, &slot.heartbeat, &slot.critical};
-        if (job.supervised) {
-          job.supervised(ctl);
-        } else {
-          job.fn();
-        }
+        job.fn(ctl);
         slot.attempt_start_ms.store(-1, std::memory_order_release);
         out.status = JobStatus::kOk;
         out.error.clear();

@@ -44,9 +44,8 @@ TwoPartBank::TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config,
       clock_(clock),
       hr_costs_(cost_hr(config)),
       lr_costs_(cost_lr(config)),
-      hr_tags_({config.hr_bytes, config.hr_assoc, config.line_bytes},
-               cache::ReplacementKind::kLru, bank_id + 31),
-      lr_tags_(lr_geometry(config), cache::ReplacementKind::kLru, bank_id + 37),
+      hr_tags_({config.hr_bytes, config.hr_assoc, config.line_bytes}),
+      lr_tags_(lr_geometry(config)),
       hr_retention_(config.hr_retention_s, config.hr_counter_bits, clock),
       lr_retention_(config.lr_retention_s, config.lr_counter_bits, clock),
       // Distinct RNG streams per (bank, part) keep the fault sequence
@@ -135,7 +134,7 @@ TwoPartBank::TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config,
 Cycle TwoPartBank::impl_next_event() const {
   // A pending wear rotation fires on the very next maintenance() call, so
   // the bank must keep ticking until it runs: reporting a later event here
-  // would let the event wheel skip this bank's ticks (or fast-forward)
+  // would let the event-driven loop skip this bank's ticks (or fast-forward)
   // and delay the rotation, shifting every result after it.
   if (config_.lr_wear_leveling && lr_writes_since_rotation_ >= config_.wear_level_period) {
     return 0;

@@ -25,8 +25,7 @@ UniformBank::UniformBank(unsigned bank_id, const UniformBankConfig& config,
       config_(config),
       clock_(clock),
       costs_(cost_array(config)),
-      tags_({config.capacity_bytes, config.associativity, config.line_bytes},
-            cache::ReplacementKind::kLru, /*seed=*/bank_id + 17),
+      tags_({config.capacity_bytes, config.associativity, config.line_bytes}),
       data_(config.subbanks),
       // SRAM cells (retention_s == 0) force the model inert inside the ctor.
       faults_(config.faults, config.cell.retention_s, clock, bank_id),

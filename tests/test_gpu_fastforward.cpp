@@ -1,4 +1,4 @@
-// Gpu's two stepping loops: the event-wheel loop (fast_forward=true) must
+// Gpu's two stepping loops: the event-driven loop (fast_forward=true) must
 // be byte-identical to the plain per-cycle reference loop (every reported
 // metric, with fault injection and with a telemetry sink attached), plus
 // unit tests of each component's next_event_cycle().
@@ -153,11 +153,11 @@ TEST(FastForwardEquivalence, TwoPartBankWithAllEventSources) {
   }
 }
 
-// HotpathEquivalence: the wheel loop — the simulator's hot path — against
-// the reference loop on the machine shapes and run modes the small-config
-// FastForwardEquivalence cases above do not reach.
+// HotpathEquivalence: the event-driven loop — the simulator's hot path —
+// against the reference loop on the machine shapes and run modes the
+// small-config FastForwardEquivalence cases above do not reach.
 
-/// The two extremes of the machine shapes the wheel accepts: one SM + one
+/// The two extremes of the machine shapes the wake table accepts: one SM + one
 /// bank, and the full 64-id due mask (the last bank is bit 63).
 constexpr std::pair<unsigned, unsigned> kShapes[] = {{1, 1}, {58, 6}};
 
@@ -190,7 +190,7 @@ TEST(HotpathEquivalence, UniformSramBankAllModes) {
 
 TEST(HotpathEquivalence, TwoPartBankWithAllEventSources) {
   // The all-event-source bank of FastForwardEquivalence on every shape: each
-  // bank's wheel slot has to stay a conservative lower bound for its refresh,
+  // bank's wake-table slot has to stay a conservative lower bound for its refresh,
   // expiry, adaptive-threshold and wear-rotation deadlines.
   sttl2::TwoPartBankConfig bank;
   bank.hr_bytes = 32 * 1024;
@@ -213,7 +213,7 @@ TEST(HotpathEquivalence, TwoPartBankWithAllEventSources) {
 }
 
 TEST(HotpathEquivalence, FaultInjectionRunsAreIdentical) {
-  // Fault injection adds seeded per-bank error events; the wheel loop must
+  // Fault injection adds seeded per-bank error events; the event-driven loop must
   // replay them identically (bank partitions own their fault RNGs).
   const sim::ArchSpec spec = sim::make_arch(sim::Architecture::kC1);
   const workload::Workload w = workload::make_benchmark("bfs", 0.05);
@@ -301,7 +301,7 @@ TEST(FastForwardEquivalence, ShortRetentionExpiryRunsArePinned) {
 }
 
 TEST(FastForwardEquivalence, WheelRejectsMoreThan64Components) {
-  // The wheel's due set is one 64-bit mask over SMs + banks; a wider
+  // The wake table's due set is one 64-bit mask over SMs + banks; a wider
   // machine is refused up front instead of silently changing loops. The
   // reference loop has no such limit.
   GpuConfig cfg;
@@ -359,7 +359,7 @@ TEST(NextEventCycle, InterconnectTracksArrivalsAndInFlight) {
 
 TEST(NextEventCycle, SmWithNoKernelHasNoEvents) {
   GpuConfig cfg;
-  Sm sm(0, cfg, /*seed=*/1);
+  Sm sm(0, cfg);
   EXPECT_EQ(sm.next_event_cycle(), kNoCycle);
   // Skipped-cycle accounting is a no-op without active warps.
   sm.account_skipped_cycles(100);

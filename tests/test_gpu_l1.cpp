@@ -11,7 +11,7 @@ using Kind = workload::WarpInstr::Kind;
 class L1Test : public ::testing::Test {
  protected:
   GpuConfig cfg_;
-  L1Complex l1_{cfg_, 1};
+  L1Complex l1_{cfg_};
   SmallVec<Addr, 2> wb_;
 };
 

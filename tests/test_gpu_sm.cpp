@@ -18,7 +18,7 @@ struct SentTxn {
 
 class SmTest : public ::testing::Test {
  protected:
-  SmTest() : sm_(0, cfg_, 7) {
+  SmTest() : sm_(0, cfg_) {
     send_ = [this](Addr addr, bool is_store) -> std::uint64_t {
       const std::uint64_t id = next_id_++;
       sent_.push_back({id, addr, is_store});
@@ -129,7 +129,7 @@ TEST_F(SmTest, StoreCreditsThrottleIssue) {
   // to the epilogue share means no concentration).
   k.stores_at_end_fraction = k.epilogue_fraction;
   cfg_.max_outstanding_store_txn = 4;
-  Sm sm(0, cfg_, 7);
+  Sm sm(0, cfg_);
   std::deque<unsigned> blocks{0};
   sm.start_kernel(k, std::move(blocks), 1, 1, 42);
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
-
 namespace sttgpu::power {
 namespace {
 
@@ -59,22 +57,6 @@ TEST(EnergyLedger, MergeResolvesByNameNotById) {
   EXPECT_DOUBLE_EQ(a.category_pj("alpha"), 4.0);
   EXPECT_DOUBLE_EQ(a.category_pj("beta"), 3.0);
   EXPECT_DOUBLE_EQ(a.total_pj(), 7.0);
-}
-
-TEST(PowerReport, ConvertsEnergyToWatts) {
-  EnergyLedger ledger;
-  ledger.add(ledger.intern("x"), 1e12);  // 1 J
-  const PowerReport r = PowerReport::from_run(ledger, /*leakage_w=*/0.5, /*runtime_s=*/2.0);
-  EXPECT_DOUBLE_EQ(r.dynamic_w, 0.5);
-  EXPECT_DOUBLE_EQ(r.leakage_w, 0.5);
-  EXPECT_DOUBLE_EQ(r.total_w, 1.0);
-  EXPECT_DOUBLE_EQ(r.runtime_s, 2.0);
-}
-
-TEST(PowerReport, RejectsNonPositiveRuntime) {
-  EnergyLedger ledger;
-  EXPECT_THROW(PowerReport::from_run(ledger, 0.0, 0.0), SimError);
-  EXPECT_THROW(PowerReport::from_run(ledger, 0.0, -1.0), SimError);
 }
 
 }  // namespace

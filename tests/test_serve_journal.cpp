@@ -193,5 +193,28 @@ TEST(ServeJournal, ForeignFormatMarkerIsRejected) {
   EXPECT_THROW(Journal{path}, JournalError);
 }
 
+TEST(ServeJournal, FailedRewriteThrowsAndLeavesTheJournalIntact) {
+  const TempDir dir;
+  const std::string path = dir.path + "/j.journal";
+  {
+    Journal j(path);
+    j.record_submission(1, R"({"archs":"C1"})");
+    j.record_submission(2, R"({"archs":"C2"})");
+    j.record_done(1);  // a retired pair makes the next open rewrite the file
+  }
+  const std::string before = slurp(path);
+  // The rewrite's temp file cannot be created where a directory stands.
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_THROW(Journal{path}, JournalError);
+  EXPECT_EQ(slurp(path), before);
+  // Once the obstacle is gone, the same journal compacts and recovers id 2.
+  std::filesystem::remove(path + ".tmp");
+  const Journal j(path);
+  const std::vector<Journal::Pending> pending = j.recovered();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].id, 2u);
+  EXPECT_LT(std::filesystem::file_size(path), before.size());
+}
+
 }  // namespace
 }  // namespace sttgpu::serve

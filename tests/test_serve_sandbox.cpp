@@ -93,7 +93,7 @@ TaskRun run_task(const SandboxJob& job, sim::SupervisorOptions sup = {},
   TaskRun run;
   sim::Job j;
   j.label = job.arch + "/" + job.bench;
-  j.supervised = [&](const sim::JobControl& ctl) {
+  j.fn = [&](const sim::JobControl& ctl) {
     run.row_line = run_sandboxed(job, opts, ctl, run.children, on_event);
   };
   std::vector<sim::Job> jobs;

@@ -20,7 +20,7 @@ std::vector<Job> square_jobs(std::vector<int>& out, std::size_t n) {
   std::vector<Job> jobs;
   for (std::size_t i = 0; i < n; ++i) {
     jobs.push_back(Job{"sq" + std::to_string(i),
-                       [&out, i]() { out[i] = static_cast<int>(i * i); }});
+                       [&out, i](const JobControl&) { out[i] = static_cast<int>(i * i); }});
   }
   return jobs;
 }
@@ -64,7 +64,11 @@ TEST(Executor, SequentialModeRunsInline) {
   // jobs=1 must not spawn threads: every job sees the calling thread's id.
   const std::thread::id caller = std::this_thread::get_id();
   bool inline_run = false;
-  run_jobs({Job{"probe", [&]() { inline_run = std::this_thread::get_id() == caller; }}}, 1);
+  run_jobs({Job{"probe",
+                [&](const JobControl&) {
+                  inline_run = std::this_thread::get_id() == caller;
+                }}},
+           1);
   EXPECT_TRUE(inline_run);
 }
 
@@ -76,8 +80,8 @@ TEST(Executor, MoreThreadsThanJobsStillRunsEverything) {
 
 TEST(Executor, ExceptionCarriesJobLabel) {
   std::vector<Job> jobs;
-  jobs.push_back(Job{"ok", []() {}});
-  jobs.push_back(Job{"C1/bfs", []() { throw SimError("bank exploded"); }});
+  jobs.push_back(Job{"ok", [](const JobControl&) {}});
+  jobs.push_back(Job{"C1/bfs", [](const JobControl&) { throw SimError("bank exploded"); }});
   try {
     run_jobs(std::move(jobs), 2);
     FAIL() << "expected SimError";
@@ -91,8 +95,8 @@ TEST(Executor, ExceptionCarriesJobLabel) {
 TEST(Executor, SequentialFailureStopsLaterJobs) {
   bool later_ran = false;
   std::vector<Job> jobs;
-  jobs.push_back(Job{"boom", []() { throw SimError("boom"); }});
-  jobs.push_back(Job{"later", [&]() { later_ran = true; }});
+  jobs.push_back(Job{"boom", [](const JobControl&) { throw SimError("boom"); }});
+  jobs.push_back(Job{"later", [&](const JobControl&) { later_ran = true; }});
   EXPECT_THROW(run_jobs(std::move(jobs), 1), SimError);
   EXPECT_FALSE(later_ran);
 }
@@ -102,11 +106,11 @@ TEST(Executor, ParallelFailureReportsLowestIndex) {
   // (two workers, two jobs), so both land in the error list; the report
   // must pick index 0 deterministically, not completion order.
   std::vector<Job> jobs;
-  jobs.push_back(Job{"first", []() {
+  jobs.push_back(Job{"first", [](const JobControl&) {
                        std::this_thread::sleep_for(std::chrono::milliseconds(50));
                        throw SimError("slow failure");
                      }});
-  jobs.push_back(Job{"second", []() { throw SimError("fast failure"); }});
+  jobs.push_back(Job{"second", [](const JobControl&) { throw SimError("fast failure"); }});
   try {
     run_jobs(std::move(jobs), 2);
     FAIL() << "expected SimError";
@@ -123,7 +127,7 @@ TEST(Executor, AggregatesMultipleFailuresWithCountAndLabels) {
   std::atomic<int> started{0};
   std::vector<Job> jobs;
   for (int i = 0; i < kJobs; ++i) {
-    jobs.push_back(Job{"fail" + std::to_string(i), [&started]() {
+    jobs.push_back(Job{"fail" + std::to_string(i), [&started](const JobControl&) {
                          ++started;
                          while (started.load() < kJobs) std::this_thread::yield();
                          throw SimError("boom");
@@ -147,7 +151,9 @@ TEST(Executor, AggregatesMultipleFailuresWithCountAndLabels) {
 TEST(Executor, ParallelRunsAllJobsWhenHealthy) {
   std::atomic<int> count{0};
   std::vector<Job> jobs;
-  for (int i = 0; i < 64; ++i) jobs.push_back(Job{"j", [&]() { ++count; }});
+  for (int i = 0; i < 64; ++i) {
+    jobs.push_back(Job{"j", [&](const JobControl&) { ++count; }});
+  }
   run_jobs(std::move(jobs), 8);
   EXPECT_EQ(count.load(), 64);
 }
@@ -173,7 +179,7 @@ TEST(ExecutorStress, InjectedFailuresRetryToCompletion) {
     Job j;
     j.label = "s" + std::to_string(i);
     const bool flaky = i % 3 == 0;
-    j.supervised = [&calls, i, flaky](const JobControl&) {
+    j.fn = [&calls, i, flaky](const JobControl&) {
       if (flaky && ++calls[i] < 3) throw SimError("injected");
     };
     jobs.push_back(std::move(j));
@@ -197,7 +203,7 @@ TEST(ExecutorStress, KeepGoingAggregatesEveryPermanentFailure) {
     Job j;
     j.label = "k" + std::to_string(i);
     const bool doomed = i % 10 == 7;
-    j.supervised = [doomed](const JobControl&) {
+    j.fn = [doomed](const JobControl&) {
       if (doomed) throw SimError("permanent");
     };
     jobs.push_back(std::move(j));
@@ -226,7 +232,7 @@ TEST(ExecutorStress, MidRunCancellationStopsTheFleet) {
   for (std::size_t i = 0; i < kJobs; ++i) {
     Job j;
     j.label = "c" + std::to_string(i);
-    j.supervised = [&cancel, &done](const JobControl& ctl) {
+    j.fn = [&cancel, &done](const JobControl& ctl) {
       if (++done == 40) cancel.request(CancelReason::kUser);
       // Give the monitor time to observe and forward the request so the
       // tail of the fleet is reliably cancelled, not raced to completion.

@@ -36,10 +36,7 @@ constexpr double kShortBudget = 0.15;   // seconds: watchdog/timeout budgets
 constexpr double kTinyBackoff = 0.001;  // seconds: retry backoff base
 
 Job supervised_job(std::string label, std::function<void(const JobControl&)> fn) {
-  Job j;
-  j.label = std::move(label);
-  j.supervised = std::move(fn);
-  return j;
+  return Job{std::move(label), std::move(fn)};
 }
 
 /// Spins until the job's token is requested, checkpointing every iteration
