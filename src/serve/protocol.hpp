@@ -13,7 +13,8 @@
 // response carries "protocol_version": an incompatible peer is refused with
 // a "protocol" error the CLI maps to its own exit code instead of
 // misinterpreting fields. An error response's "kind" is "protocol" or
-// "error"; version 3 dropped the admission-control shedding kind.
+// "error"; version 3 dropped the admission-control shedding kind, and
+// version 4 the count of rows merged from other writers in `status`.
 //
 // A connection carries exactly one request/response exchange. The `watch`
 // verb extends the exchange: after the framed acknowledgement the server
@@ -42,7 +43,7 @@ namespace sttgpu::serve {
 
 /// Bumped on any incompatible wire change. Both sides send it; both sides
 /// refuse a mismatch (ProtocolMismatch / a "protocol" error response).
-inline constexpr std::int64_t kProtocolVersion = 3;
+inline constexpr std::int64_t kProtocolVersion = 4;
 
 /// Frame header magic ("SWeep Protocol 1", framing version — independent of
 /// kProtocolVersion, which governs the JSON inside).

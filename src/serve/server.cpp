@@ -118,9 +118,9 @@ struct SweepServer::Impl {
   std::deque<std::shared_ptr<Task>> queue;  ///< FIFO, one local user
   std::set<int> conns;  ///< open connection fds (shutdown on stop)
 
-  // Monotonic counters (mu-free reads for the on_apply hook).
+  // Monotonic counters (mu-free reads).
   std::atomic<std::uint64_t> n_submissions{0}, n_simulated{0}, n_failed{0},
-      n_store_hits{0}, n_attached{0}, n_applied{0}, n_own_puts{0};
+      n_store_hits{0}, n_attached{0};
   std::atomic<std::uint64_t> n_child_kills{0}, n_child_crashes{0}, n_retries{0},
       n_replayed{0};
 
@@ -333,7 +333,6 @@ struct SweepServer::Impl {
         throw SimError("sandbox returned an undecodable result row");
       }
       // Durable write-through before the row is announced.
-      n_own_puts.fetch_add(1, std::memory_order_relaxed);
       store->put(t->job.fp, t->job.base.scale, rec->row);
       row = rec->row;
     };
@@ -585,9 +584,6 @@ struct SweepServer::Impl {
     s.tasks_failed = n_failed.load(std::memory_order_relaxed);
     s.store_hits = n_store_hits.load(std::memory_order_relaxed);
     s.attached = n_attached.load(std::memory_order_relaxed);
-    const std::uint64_t applied = n_applied.load(std::memory_order_relaxed);
-    const std::uint64_t own = n_own_puts.load(std::memory_order_relaxed);
-    s.merged_rows = applied > own ? applied - own : 0;
     s.store_rows = store->size();
     s.workers = workers;
     s.child_kills = n_child_kills.load(std::memory_order_relaxed);
@@ -655,7 +651,6 @@ struct SweepServer::Impl {
       w.key("tasks_failed").value(s.tasks_failed);
       w.key("store_hits").value(s.store_hits);
       w.key("attached").value(s.attached);
-      w.key("merged_rows").value(s.merged_rows);
       w.key("queued").value(static_cast<std::uint64_t>(s.queued));
       w.key("store_rows").value(static_cast<std::uint64_t>(s.store_rows));
       w.key("workers").value(s.workers);
@@ -937,9 +932,6 @@ SweepServer::SweepServer(ServerOptions opts) : impl_(std::make_unique<Impl>(std:
   so.auto_compact = false;
   s.store = std::make_unique<store::ResultStore>(
       store::ResultStore::derive_path(s.opts.cache_path), so);
-  s.store->set_on_apply([impl = impl_.get()](const store::PutRecord&) {
-    impl->n_applied.fetch_add(1, std::memory_order_relaxed);
-  });
 
   // Open (and recover) the submission journal before listening: replayed
   // ids must never be reissued, so the id counter seeds past the journal.

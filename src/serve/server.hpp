@@ -82,9 +82,6 @@ struct ServerStats {
   std::uint64_t tasks_failed = 0;     ///< failed/cancelled/watchdog-killed tasks
   std::uint64_t store_hits = 0;       ///< submission entries served from the store
   std::uint64_t attached = 0;         ///< entries attached to an in-flight task
-  /// Rows other writers (direct matrix runs, other servers) merged into the
-  /// store while we served — observed via the store's on_apply hook.
-  std::uint64_t merged_rows = 0;
   std::size_t queued = 0;     ///< tasks waiting for a worker
   std::size_t store_rows = 0; ///< live rows in the result store
   unsigned workers = 0;

@@ -41,9 +41,6 @@ namespace sttgpu::sim {
 struct JobControl {
   const CancelToken* cancel = nullptr;
   std::atomic<std::uint64_t>* heartbeat = nullptr;
-  /// Critical-section depth (see CriticalSection below); owned by the
-  /// supervisor's Slot, null for unsupervised runs.
-  std::atomic<std::uint32_t>* critical = nullptr;
 
   bool cancelled() const noexcept { return cancel != nullptr && cancel->requested(); }
 
@@ -56,30 +53,6 @@ struct JobControl {
   /// Throws Cancelled (with the requested reason) if cancellation was
   /// requested; otherwise returns.
   void checkpoint() const;
-};
-
-/// RAII marker for a span that must not be torn by a *cooperative* kill —
-/// e.g. a durable result-store append between the simulation finishing and
-/// its row being fsync'd. While at least one CriticalSection is open on a
-/// job, the supervisor's monitor defers watchdog/timeout cancellation; the
-/// kill lands the moment the last section closes, so a completed run always
-/// gets to persist its result. (A SIGKILL obviously ignores this — that
-/// case is what the store's own crash recovery is for.) User cancellation
-/// is NOT deferred: interrupts stay prompt, and the store's append sequence
-/// is crash-safe anyway. No-op when the job is unsupervised.
-class CriticalSection {
- public:
-  explicit CriticalSection(const JobControl& ctl) noexcept : critical_(ctl.critical) {
-    if (critical_ != nullptr) critical_->fetch_add(1, std::memory_order_acq_rel);
-  }
-  ~CriticalSection() {
-    if (critical_ != nullptr) critical_->fetch_sub(1, std::memory_order_acq_rel);
-  }
-  CriticalSection(const CriticalSection&) = delete;
-  CriticalSection& operator=(const CriticalSection&) = delete;
-
- private:
-  std::atomic<std::uint32_t>* critical_;
 };
 
 /// One unit of work. @p label identifies the job in error messages and

@@ -71,8 +71,8 @@ const std::vector<KnobSpec>& knob_registry() {
       {"jobs", Type::kInt, "0", "worker threads (0 = all hardware threads)",
        kKnobMatrix | kKnobServe},
       {"watchdog", Type::kDouble, "0",
-       "abort a job with no forward progress for this many seconds (0 = off)",
-       kKnobMatrix | kKnobServe},
+       "kill a task whose child's heartbeat stops for this many seconds (0 = off)",
+       kKnobServe},
       {"job_timeout", Type::kDouble, "0",
        "per-job wall-clock budget in seconds (0 = unlimited)", kKnobMatrix | kKnobServe},
       {"retry", Type::kInt, "0", "extra attempts for a job that fails transiently",

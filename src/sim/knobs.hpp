@@ -96,7 +96,7 @@ Config config_from_json(const JsonValue& obj);
 /// Resolves the simulation-shaping RunOptions fields — scale, fastforward
 /// and the fault knobs — from @p cfg using the registry
 /// defaults for @p command. Knobs outside @p command's mask keep their
-/// RunOptions defaults. Orchestration knobs (cache/jobs/watchdog/...) are
+/// RunOptions defaults. Orchestration knobs (cache/jobs/job_timeout/...) are
 /// intentionally not resolved here; they belong to the caller.
 RunOptions run_options_from_knobs(const Config& cfg, KnobCommand command);
 

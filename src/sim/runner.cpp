@@ -249,8 +249,7 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
   STTGPU_REQUIRE(!opts.inspect,
                  "run_matrix: the inspect hook is per-run; use run_one");
   STTGPU_REQUIRE(opts.heartbeat == nullptr,
-                 "run_matrix: heartbeat is per-run — the matrix wires a private "
-                 "per-job heartbeat for the watchdog itself");
+                 "run_matrix: the heartbeat is per-run; use run_one");
   const double scale = opts.scale;
   const std::string& cache_path = opts.cache_path;
   const sttl2::FaultInjectionConfig& faults = opts.faults;
@@ -339,20 +338,15 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
       const workload::Workload w = workload::make_benchmark(p.benchmark, scale);
       // opts.telemetry/inspect are guaranteed null above; run_one applies
       // the shared fast_forward/faults knobs to this run's spec copy. The
-      // supervisor's per-job token/heartbeat are threaded into the Gpu so
-      // the cycle loop observes cancellation and publishes progress.
+      // supervisor's per-job token is threaded into the Gpu so the cycle
+      // loop observes cancellation (user interrupt, job timeout).
       RunOptions job_opts = opts;
       job_opts.cancel = ctl.cancel;
-      job_opts.heartbeat = ctl.heartbeat;
       Metrics m = run_one(p.spec, w, job_opts);
-      if (db) {
-        // Durable write-through: by the time the progress line prints, the
-        // row is fsync'd in the WAL — a crash in run 79 of 80 keeps the
-        // first 78. The critical section keeps a watchdog/timeout kill from
-        // landing cooperatively between "simulated" and "persisted".
-        const CriticalSection cs(ctl);
-        db->put(fp, scale, m);
-      }
+      // Durable write-through: by the time the progress line prints, the
+      // row is fsync'd in the WAL — a crash in run 79 of 80 keeps the first
+      // 78.
+      if (db) db->put(fp, scale, m);
       const std::size_t k = completed.fetch_add(1) + 1;
       std::ostringstream os;
       os << "[run " << k << '/' << pending.size() << "] " << p.spec.name << '/'
@@ -365,7 +359,6 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
 
   SupervisorOptions sup;
   sup.external = opts.cancel;
-  sup.watchdog_s = opts.watchdog_s;
   sup.job_timeout_s = opts.job_timeout_s;
   sup.retries = opts.retries;
   sup.keep_going = opts.keep_going;
@@ -395,13 +388,11 @@ std::vector<Metrics> run_matrix(const std::vector<Architecture>& archs,
     throw Cancelled(CancelReason::kUser, os.str());
   }
   if (!opts.keep_going) {
-    // A watchdog/timeout kill outranks ordinary failures: surface it as a
-    // Cancelled so the CLI maps it to its own exit code.
+    // A timeout kill outranks ordinary failures: surface it as a Cancelled
+    // so the CLI maps it to its own exit code.
     for (const JobOutcome& o : result.outcomes) {
-      if (o.status == JobStatus::kWatchdog || o.status == JobStatus::kTimeout) {
-        throw Cancelled(o.status == JobStatus::kWatchdog ? CancelReason::kWatchdog
-                                                         : CancelReason::kTimeout,
-                        "job '" + o.label + "': " + o.error);
+      if (o.status == JobStatus::kTimeout) {
+        throw Cancelled(CancelReason::kTimeout, "job '" + o.label + "': " + o.error);
       }
     }
     throw_on_failures(result);

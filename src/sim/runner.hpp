@@ -101,19 +101,15 @@ struct RunOptions {
   /// points and unwinds with a Cancelled error.
   const CancelToken* cancel = nullptr;
 
-  /// Cycle-count heartbeat published at supervision points (single runs;
-  /// run_matrix wires per-job heartbeats itself and rejects this).
+  /// Cycle-count heartbeat published at supervision points (single runs,
+  /// e.g. a sandboxed serve child; run_matrix rejects it).
   std::atomic<std::uint64_t>* heartbeat = nullptr;
-
-  /// Matrix watchdog: abort a job that makes no forward progress (heartbeat
-  /// unchanged) for this many wall-clock seconds. 0 disables.
-  double watchdog_s = 0.0;
 
   /// Matrix per-attempt wall-clock budget in seconds. 0 disables.
   double job_timeout_s = 0.0;
 
-  /// Matrix retry budget per job (transient failures; exponential backoff
-  /// with deterministic jitter). 0 = no retries.
+  /// Matrix retry budget per job (transient failures; capped exponential
+  /// backoff). 0 = no retries.
   unsigned retries = 0;
 
   /// Matrix failure policy: quarantine deterministic failures and return

@@ -84,32 +84,13 @@ std::string describe(const std::exception_ptr& eptr) {
   }
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Retry pacing: base * 2^attempt capped at 30 s, stretched by up to +50% of
-/// deterministic per-(label, attempt) jitter so a fleet of flaky jobs never
-/// retries in lockstep yet paces identically on every rerun.
-double retry_backoff_seconds(double base_s, const std::string& label, unsigned attempt) {
-  double delay = base_s * std::pow(2.0, static_cast<double>(attempt));
-  delay = std::min(delay, 30.0);
-  const std::uint64_t h =
-      fnv1a(label) ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(attempt + 1));
-  return delay * (1.0 + 0.5 * static_cast<double>(h % 1024) / 1024.0);
-}
-
-/// Interruptible sleep: returns early (false) if the external token fires.
-bool backoff_sleep(const SupervisorOptions& opts, const std::string& label,
-                   unsigned attempt) {
-  const std::int64_t deadline =
-      now_ms() + static_cast<std::int64_t>(
-                     retry_backoff_seconds(opts.retry_backoff_s, label, attempt) * 1000.0);
+/// Interruptible sleep before retrying after failed attempt @p attempt:
+/// base * 2^attempt, capped at 30 s. Returns early (false) if the external
+/// token fires.
+bool backoff_sleep(const SupervisorOptions& opts, unsigned attempt) {
+  const double delay_s =
+      std::min(opts.retry_backoff_s * std::pow(2.0, static_cast<double>(attempt)), 30.0);
+  const std::int64_t deadline = now_ms() + static_cast<std::int64_t>(delay_s * 1000.0);
   while (now_ms() < deadline) {
     if (opts.external != nullptr && opts.external->requested()) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -121,7 +102,6 @@ bool backoff_sleep(const SupervisorOptions& opts, const std::string& label,
 struct Slot {
   CancelToken token;                          ///< job-private (merged) token
   std::atomic<std::uint64_t> heartbeat{0};    ///< written by the job
-  std::atomic<std::uint32_t> critical{0};     ///< open CriticalSection depth
   std::atomic<std::int64_t> attempt_start_ms{-1};  ///< -1: not running
   // Monitor-private bookkeeping (only the monitor thread touches these).
   std::uint64_t last_seen_beat = 0;
@@ -159,7 +139,7 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
       slot.heartbeat.store(0, std::memory_order_relaxed);
       slot.attempt_start_ms.store(now_ms(), std::memory_order_release);
       try {
-        const JobControl ctl{&slot.token, &slot.heartbeat, &slot.critical};
+        const JobControl ctl{&slot.token, &slot.heartbeat};
         job.fn(ctl);
         slot.attempt_start_ms.store(-1, std::memory_order_release);
         out.status = JobStatus::kOk;
@@ -188,7 +168,7 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
           if (!opts.keep_going) stop.store(true, std::memory_order_relaxed);
           return;
         }
-        if (!backoff_sleep(opts, job.label, attempt)) {
+        if (!backoff_sleep(opts, attempt)) {
           out.status = JobStatus::kCancelled;
           out.error = "cancelled during retry backoff (last failure: " + out.error + ")";
           return;
@@ -245,14 +225,10 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
           // Progress is anchored at the attempt start until the first beat
           // change, so a fresh attempt gets the full budget.
           const std::int64_t anchor = std::max(s.last_progress_ms, start);
-          // An open CriticalSection (durable store append in flight) defers
-          // watchdog/timeout kills: re-checked on the next tick, the kill
-          // lands right after the section closes instead of tearing it.
-          const bool in_critical = s.critical.load(std::memory_order_acquire) != 0;
-          if (watchdog_ms > 0 && t - anchor > watchdog_ms && !in_critical) {
+          if (watchdog_ms > 0 && t - anchor > watchdog_ms) {
             s.token.request(CancelReason::kWatchdog);
           }
-          if (timeout_ms > 0 && t - start > timeout_ms && !in_critical) {
+          if (timeout_ms > 0 && t - start > timeout_ms) {
             s.token.request(CancelReason::kTimeout);
           }
         }

@@ -1,5 +1,5 @@
 // Run supervision for long unattended sweeps: cooperative cancellation, a
-// progress watchdog, bounded retry with deterministic backoff jitter, and
+// progress watchdog, bounded retry with capped exponential backoff, and
 // failure quarantine.
 //
 // run_supervised() executes a job list on the executor's thread-pool model
@@ -9,18 +9,18 @@
 //     SIGINT/SIGTERM handlers) is forwarded into every job's private token;
 //     jobs observe it at their next checkpoint, unwind with Cancelled, and
 //     the result is marked interrupted. Not-yet-started jobs never start.
-//   * Watchdog — each job publishes a heartbeat (the Gpu publishes its cycle
-//     count at supervision points); a monitor thread cancels any running job
-//     whose heartbeat has not advanced for watchdog_s seconds of wall clock,
-//     with reason kWatchdog. The job reports a diagnostic state dump from
-//     the throw site (the Gpu appends per-bank queue depths and swap-buffer
-//     state). job_timeout_s bounds an attempt's total wall clock the same
-//     way with reason kTimeout.
+//   * Watchdog — a job may publish a heartbeat; a monitor thread cancels any
+//     running job whose heartbeat has not advanced for watchdog_s seconds of
+//     wall clock, with reason kWatchdog. The sweep service uses it: its
+//     sandboxed child's Gpu beats its cycle count into a shared page, so a
+//     hung child stops beating and is killed. job_timeout_s bounds an
+//     attempt's total wall clock with reason kTimeout; an in-process job
+//     reports a diagnostic state dump from the throw site (the Gpu appends
+//     per-bank queue depths and swap-buffer state).
 //   * Retry — a job failing with an ordinary exception is re-run up to
-//     `retries` extra times, with exponential backoff and deterministic
-//     per-(label, attempt) jitter so a fleet of flaky jobs does not retry in
-//     lockstep. Cancellations and watchdog/timeout kills are never retried
-//     (a livelocked job would livelock again).
+//     `retries` extra times, with capped exponential backoff. Cancellations
+//     and watchdog/timeout kills are never retried (a livelocked job would
+//     livelock again).
 //   * Quarantine — with keep_going, a permanently failing job is recorded in
 //     its outcome slot and the rest of the sweep still runs to completion;
 //     without it the pool fails fast exactly like run_jobs.
@@ -28,7 +28,7 @@
 // Supervision is cooperative: it cancels jobs, it cannot destroy a thread
 // that never reaches a checkpoint. The Gpu checkpoints every few thousand
 // cycles, so any simulation that is still executing its cycle loop — the
-// livelock case the watchdog exists for — observes the request promptly.
+// livelock case job_timeout_s exists for — observes the request promptly.
 //
 // Everything here is run-mode only: no knob participates in the result-
 // cache fingerprint and supervised runs produce byte-identical simulation
@@ -78,8 +78,8 @@ struct SupervisorOptions {
   /// Extra attempts for a job failing with an ordinary exception.
   unsigned retries = 0;
 
-  /// Base backoff before the first retry; doubles per attempt (capped) and
-  /// is stretched by a deterministic per-(label, attempt) jitter.
+  /// Base backoff before the first retry; doubles per attempt, capped at
+  /// 30 s.
   double retry_backoff_s = 0.25;
 
   /// Quarantine permanent failures and keep running the rest of the sweep

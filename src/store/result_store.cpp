@@ -78,10 +78,6 @@ ResultStore::~ResultStore() {
   if (lock_fd_ >= 0) ::close(lock_fd_);
 }
 
-std::size_t ResultStore::shard_index(const std::string& key) {
-  return std::hash<std::string>{}(key) % kShards;
-}
-
 void ResultStore::say(const std::string& line) const {
   if (opts_.log) opts_.log(line);
 }
@@ -90,10 +86,9 @@ std::optional<ResultRow> ResultStore::get(std::uint64_t fingerprint, double scal
                                           const std::string& arch,
                                           const std::string& benchmark) const {
   const std::string key = store_key(fingerprint, scale_text(scale), arch, benchmark);
-  const Shard& s = shards_[shard_index(key)];
-  std::lock_guard<std::mutex> g(s.mu);
-  const auto it = s.map.find(key);
-  if (it == s.map.end()) return std::nullopt;
+  std::lock_guard<std::mutex> g(index_mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
   return it->second.row;
 }
 
@@ -146,9 +141,9 @@ std::vector<ResultRow> ResultStore::rows_for(std::uint64_t fingerprint,
                                              double scale) const {
   const std::string scale17 = scale_text(scale);
   std::vector<ResultRow> rows;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> g(s.mu);
-    for (const auto& [key, e] : s.map) {
+  {
+    std::lock_guard<std::mutex> g(index_mu_);
+    for (const auto& [key, e] : index_) {
       if (e.fingerprint == fingerprint && e.scale17 == scale17) rows.push_back(e.row);
     }
   }
@@ -168,12 +163,8 @@ void ResultStore::compact() {
 }
 
 std::size_t ResultStore::size() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> g(s.mu);
-    n += s.map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> g(index_mu_);
+  return index_.size();
 }
 
 StoreStats ResultStore::stats() const {
@@ -292,27 +283,18 @@ void ResultStore::apply_record_locked(std::string_view payload, std::uint64_t of
   apply_put_locked(*rec);
 }
 
-void ResultStore::set_on_apply(std::function<void(const PutRecord&)> fn) {
-  std::lock_guard<std::mutex> g(io_mu_);
-  on_apply_ = std::move(fn);
-}
-
 void ResultStore::apply_put_locked(const PutRecord& rec) {
   const std::string key =
       store_key(rec.fingerprint, rec.scale17, rec.row.arch, rec.row.benchmark);
-  Shard& s = shards_[shard_index(key)];
-  std::lock_guard<std::mutex> g(s.mu);
+  std::lock_guard<std::mutex> g(index_mu_);
   ++applied_records_;
-  const auto [it, inserted] =
-      s.map.insert_or_assign(key, rec);
-  if (!inserted) ++dead_records_;
-  if (on_apply_) on_apply_(rec);
+  if (!index_.insert_or_assign(key, rec).second) ++dead_records_;
 }
 
 void ResultStore::rescan_locked(bool repair) {
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> g(s.mu);
-    s.map.clear();
+  {
+    std::lock_guard<std::mutex> g(index_mu_);
+    index_.clear();
   }
   applied_records_ = 0;
   dead_records_ = 0;
@@ -420,9 +402,9 @@ void ResultStore::quarantine_locked(const std::vector<Incident>& incidents) {
 
 void ResultStore::compact_locked(const char* reason) {
   std::vector<PutRecord> live;
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> g(s.mu);
-    for (const auto& [key, e] : s.map) live.push_back(e);
+  {
+    std::lock_guard<std::mutex> g(index_mu_);
+    for (const auto& [key, e] : index_) live.push_back(e);
   }
   std::sort(live.begin(), live.end(), [](const PutRecord& a, const PutRecord& b) {
     if (a.fingerprint != b.fingerprint) return a.fingerprint < b.fingerprint;
@@ -459,10 +441,10 @@ StoreStats ResultStore::stats_locked() const {
   StoreStats st;
   st.file_bytes = log_size_locked();
   std::set<std::pair<std::uint64_t, std::string>> groups;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> g(s.mu);
-    st.live_rows += s.map.size();
-    for (const auto& [key, e] : s.map) groups.emplace(e.fingerprint, e.scale17);
+  {
+    std::lock_guard<std::mutex> g(index_mu_);
+    st.live_rows = index_.size();
+    for (const auto& [key, e] : index_) groups.emplace(e.fingerprint, e.scale17);
   }
   st.groups = groups.size();
   st.applied_records = applied_records_;

@@ -1,7 +1,7 @@
-// Crash-safe sharded result store.
+// Crash-safe result store.
 //
-// One append-only WAL (wal.hpp framing) on disk, one sharded hash index in
-// memory. The contract the rest of the simulator builds on:
+// One append-only WAL (wal.hpp framing) on disk, one hash index in memory.
+// The contract the rest of the simulator builds on:
 //
 //   * put() is durable: by the time it returns, the record is fsync'd. A
 //     crash (SIGKILL, power cut) at ANY byte offset loses at most the
@@ -17,10 +17,10 @@
 //     under the shared lock. Two matrix invocations on disjoint slices
 //     merge without lost rows.
 //
-// The in-memory index is sharded (kShards maps, each behind its own mutex)
-// so the matrix executor's worker threads can hit get() concurrently
-// without contending on one global lock; the append path additionally
-// serializes on io_mu_ because flock does not exclude threads sharing a fd.
+// The in-memory index sits behind its own mutex (index_mu_), apart from
+// io_mu_: the append path serializes on io_mu_ across its fsync (flock does
+// not exclude threads sharing a fd), and a reader's get() must not wait on
+// that.
 #pragma once
 
 #include <cstdint>
@@ -99,14 +99,6 @@ class ResultStore {
   /// processes appended. Never repairs (repair mutates; readers must not).
   void refresh();
 
-  /// Observer invoked for every put record applied to the index after this
-  /// call — own put()/put_many() appends and rows folded in from other
-  /// processes by refresh() alike (a full rescan after compaction replays
-  /// every live record through it). Runs with store locks held: keep it
-  /// short and never call back into the store. The sweep service uses it to
-  /// count rows merged in by concurrent direct `sttgpu matrix` runs.
-  void set_on_apply(std::function<void(const PutRecord&)> fn);
-
   /// All rows for one (fingerprint, scale) group, sorted by
   /// (arch, benchmark) — the CSV export order.
   std::vector<ResultRow> rows_for(std::uint64_t fingerprint, double scale) const;
@@ -133,11 +125,6 @@ class ResultStore {
   static FsckReport fsck(const std::string& path, StoreOptions opts = {});
 
  private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, PutRecord> map;
-  };
   /// One quarantinable byte range found during a scan.
   struct Incident {
     std::uint64_t offset = 0;
@@ -145,7 +132,6 @@ class ResultStore {
     const char* reason = "corrupt";
   };
 
-  static std::size_t shard_index(const std::string& key);
   void say(const std::string& line) const;
 
   // All *_locked members require io_mu_ held AND the corresponding flock.
@@ -166,7 +152,6 @@ class ResultStore {
   std::string path_;
   std::string quarantine_path_;
   StoreOptions opts_;
-  std::function<void(const PutRecord&)> on_apply_;
   int lock_fd_ = -1;
   int log_fd_ = -1;
 
@@ -181,7 +166,9 @@ class ResultStore {
   std::size_t quarantined_new_incidents_ = 0;
   std::uint64_t quarantined_new_bytes_ = 0;
 
-  std::vector<Shard> shards_{kShards};
+  /// Guards index_; taken inside io_mu_ when both are held.
+  mutable std::mutex index_mu_;
+  std::unordered_map<std::string, PutRecord> index_;  ///< store key -> latest record
 };
 
 }  // namespace sttgpu::store

@@ -15,6 +15,27 @@ struct ReadyLater {
 };
 }  // namespace
 
+double write_energy_scale(bool ewt, double flip_fraction) {
+  if (!ewt) return 1.0;
+  STTGPU_REQUIRE(flip_fraction > 0.0 && flip_fraction <= 1.0,
+                 "L2 bank: ewt_flip_fraction must be in (0, 1]");
+  return flip_fraction;
+}
+
+Part::Part(const power::ArraySpec& spec, unsigned subbanks, double ewt_scale,
+           const FaultInjectionConfig& fault_config, std::uint64_t fault_salt,
+           const Clock& clock, power::EnergyLedger& ledger, const std::string& prefix)
+    : costs(power::evaluate_array(spec)),
+      tags({spec.capacity_bytes, spec.associativity, spec.line_bytes}),
+      data(subbanks),
+      faults(fault_config, spec.data_cell.retention_s, clock, fault_salt),
+      tag_lat(clock.cycles_for_ns(costs.tag_latency_ns)),
+      read_occ(clock.cycles_for_ns(costs.data_read_latency_ns)),
+      write_occ(clock.cycles_for_ns(costs.data_write_latency_ns)),
+      write_pj(costs.data_write_pj * ewt_scale),
+      e{ledger.intern(prefix + "tag_probe"), ledger.intern(prefix + "tag_update"),
+        ledger.intern(prefix + "data_read"), ledger.intern(prefix + "data_write")} {}
+
 BankBase::BankBase(unsigned bank_id, unsigned line_bytes, unsigned input_queue_limit,
                    gpu::DramChannel& dram)
     : bank_id_(bank_id),
@@ -142,6 +163,74 @@ void BankBase::respond(const gpu::L2Request& request, Cycle ready) {
 void BankBase::dram_writeback(Addr line, Cycle now) {
   dram_->write(line, now);
   ++stats_.dram_writebacks;
+}
+
+void BankBase::intern_fault_ids() {
+  fault_ids_.scrub = energy_.intern("l2.fault.scrub");
+  fault_ids_.ecc_corrected = counters_.intern("fault_ecc_corrected");
+  fault_ids_.ecc_detected = counters_.intern("fault_ecc_detected");
+  fault_ids_.clean_refetch = counters_.intern("fault_clean_refetch");
+  fault_ids_.data_loss = counters_.intern("fault_data_loss");
+  fault_ids_.wv_retries = counters_.intern("fault_wv_retries");
+  fault_ids_.wv_escalations = counters_.intern("fault_wv_escalations");
+}
+
+BankBase::Decay BankBase::sample_decay(Part& p, cache::LineMeta& line,
+                                       Cycle retention_cycles, Cycle now) {
+  const auto collapse =
+      p.faults.sample_collapse(fault_interval_start(line, retention_cycles), now);
+  line.fault_check_cycle = now;
+  if (collapse == FaultModel::Collapse::kNone) return Decay::kIntact;
+  const bool ecc = p.faults.config().ecc;
+  if (ecc && collapse == FaultModel::Collapse::kSingleBit) {
+    counters_.at(fault_ids_.ecc_corrected) += 1;
+    return Decay::kCorrected;
+  }
+  if (!line.dirty) {
+    counters_.at(fault_ids_.clean_refetch) += 1;  // DRAM still holds the data
+    return Decay::kLost;
+  }
+  // Dirty and uncorrectable: the only up-to-date copy is gone.
+  if (ecc) counters_.at(fault_ids_.ecc_detected) += 1;
+  counters_.at(fault_ids_.data_loss) += 1;
+  if (telemetry_ != nullptr) telemetry_->instant(telemetry_prefix() + "faults", "data_loss", now);
+  return Decay::kLost;
+}
+
+BankBase::Decay BankBase::check_hit(Part& p, Addr key, unsigned way, Cycle retention_cycles,
+                                    Cycle now) {
+  cache::LineMeta& line = p.tags.line(p.tags.geometry().set_index(key), way);
+  const Decay d = sample_decay(p, line, retention_cycles, now);
+  if (d == Decay::kCorrected) {
+    p.data.occupy(key, now, p.write_occ);
+    energy_.add(fault_ids_.scrub, p.write_pj);
+  } else if (d == Decay::kLost) {
+    p.tags.invalidate(key, way);
+  }
+  return d;
+}
+
+Cycle BankBase::write_verify(Part& p, Addr key, Cycle done, power::EnergyId category) {
+  if (!p.faults.enabled()) return done;
+  const FaultModel::WriteVerify wv = p.faults.run_write_verify();
+  counters_.at(fault_ids_.wv_retries) += wv.retries;
+  for (unsigned i = 0; i < wv.retries; ++i) {
+    done = p.data.occupy(key, done, p.write_occ);
+    energy_.add(category, p.write_pj);
+  }
+  if (wv.escalated) {
+    // Boosted pulse: twice the energy and pulse width, always sticks.
+    counters_.at(fault_ids_.wv_escalations) += 1;
+    done = p.data.occupy(key, done, 2 * p.write_occ);
+    energy_.add(category, 2.0 * p.write_pj);
+  }
+  return done;
+}
+
+void BankBase::write_back(Part& p, cache::LineMeta& line, Addr addr, Cycle retention_cycles,
+                          Cycle now) {
+  read_out(p, addr, now);
+  if (carries(p, line, retention_cycles, now)) dram_writeback(addr, now);
 }
 
 std::string BankBase::telemetry_prefix() const {

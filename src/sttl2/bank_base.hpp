@@ -1,6 +1,7 @@
 // Shared plumbing for L2 bank implementations: input queue, fill (MSHR)
-// table, DRAM interplay, response emission, energy ledger and a single-
-// server occupancy model per data array.
+// table, DRAM interplay, response emission, energy ledger, the Part that
+// models one data array, and the one fault-recovery policy every Part
+// follows.
 //
 // Timing model: each data array is a FIFO single server. An operation
 // starting at `now` begins at max(now, server.free), occupies the array for
@@ -15,13 +16,16 @@
 #include <string>
 #include <vector>
 
+#include "cache/tag_array.hpp"
 #include "common/flat_map.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "gpu/dram.hpp"
 #include "gpu/l2_bank.hpp"
+#include "power/array_model.hpp"
 #include "power/energy.hpp"
+#include "sttl2/fault_model.hpp"
 
 namespace sttgpu::sttl2 {
 
@@ -66,6 +70,32 @@ class SubbankedServer {
     return static_cast<std::size_t>(h >> 32) % servers_.size();
   }
   std::vector<ArrayServer> servers_;
+};
+
+/// Write-energy factor of early write termination: @p flip_fraction when
+/// @p ewt is on (it must lie in (0, 1]), else 1.
+double write_energy_scale(bool ewt, double flip_fraction);
+
+/// One data array built from one ArraySpec: its costs, tags, subbanked
+/// ports and fault stream, its latencies in cycles, and its energy
+/// categories "<prefix>{tag_probe,tag_update,data_read,data_write}". The
+/// uniform bank is one Part; the two-part bank is an LR and an HR Part.
+struct Part {
+  /// @p fault_salt decorrelates this array's fault stream from every other
+  /// (bank, part) stream; the cell's retention time drives its hazard.
+  Part(const power::ArraySpec& spec, unsigned subbanks, double ewt_scale,
+       const FaultInjectionConfig& fault_config, std::uint64_t fault_salt,
+       const Clock& clock, power::EnergyLedger& ledger, const std::string& prefix);
+
+  power::ArrayCosts costs;
+  cache::TagArray tags;
+  SubbankedServer data;
+  FaultModel faults;  ///< inert for SRAM cells or when injection is off
+  Cycle tag_lat, read_occ, write_occ;
+  PicoJoule write_pj;  ///< one line-write pulse, scaled by early write termination
+  struct EnergyIds {
+    power::EnergyId tag_probe, tag_update, data_read, data_write;
+  } e;
 };
 
 class BankBase : public gpu::L2Bank {
@@ -172,6 +202,52 @@ class BankBase : public gpu::L2Bank {
   /// Issues a DRAM writeback (dirty eviction / forced writeback).
   void dram_writeback(Addr line, Cycle now);
 
+  // --- fault recovery: one policy for every Part ---
+
+  /// Outcome of one decay evaluation of a line's stored data.
+  enum class Decay {
+    kIntact,
+    kCorrected,  ///< one collapsed bit, repaired by SECDED
+    kLost,       ///< unrecoverable: clean re-fetches, dirty is counted data loss
+  };
+
+  /// Interns the six fault counters and the scrub energy category. A bank
+  /// whose faults are live calls this once, after interning its own
+  /// counters: fault-free runs report no fault counter, fault runs list
+  /// them last.
+  void intern_fault_ids();
+
+  /// Decay check of a demand hit on (@p key, @p way): an ECC-corrected line
+  /// is scrubbed (rewritten, which restarts its decay clock; the caller
+  /// re-arms its deadline), a lost one is invalidated (the caller drops its
+  /// deadline and the access falls through to the miss path).
+  /// Precondition: p.faults.enabled().
+  Decay check_hit(Part& p, Addr key, unsigned way, Cycle retention_cycles, Cycle now);
+
+  /// Decay check of data read out to be carried elsewhere (eviction,
+  /// writeback, refresh); a corrected line is repaired in flight. False:
+  /// the data is lost and must not be propagated. True when faults are off.
+  bool carries(Part& p, cache::LineMeta& line, Cycle retention_cycles, Cycle now) {
+    return !p.faults.enabled() || sample_decay(p, line, retention_cycles, now) != Decay::kLost;
+  }
+
+  /// Write-verify of a line write into @p p whose first pulse completes at
+  /// @p done: re-issues each failed pulse, then a boosted (2x) one, charged
+  /// to @p category. Returns the completion cycle of the last pulse.
+  Cycle write_verify(Part& p, Addr key, Cycle done, power::EnergyId category);
+
+  /// Reads one line out of @p p's data array; returns the completion cycle.
+  Cycle read_out(Part& p, Addr key, Cycle now) {
+    const Cycle done = p.data.occupy(key, now, p.read_occ);
+    energy_.add(p.e.data_read, p.costs.data_read_pj);
+    return done;
+  }
+
+  /// Reads the dirty @p line at @p addr out of @p p and writes it back to
+  /// DRAM unless it decayed beyond repair.
+  void write_back(Part& p, cache::LineMeta& line, Addr addr, Cycle retention_cycles,
+                  Cycle now);
+
   power::EnergyLedger& ledger() noexcept { return energy_; }
   CounterSet& mutable_counters() noexcept { return counters_; }
   gpu::L2BankStats& mutable_stats() noexcept { return stats_; }
@@ -185,6 +261,11 @@ class BankBase : public gpu::L2Bank {
   std::string telemetry_prefix() const;
 
  private:
+  /// Evaluates the decay of @p line's data in @p p up to @p now, bumps the
+  /// matching fault counters and marks data loss on the timeline.
+  /// Precondition: p.faults.enabled().
+  Decay sample_decay(Part& p, cache::LineMeta& line, Cycle retention_cycles, Cycle now);
+
   unsigned bank_id_;
   unsigned line_bytes_;
   unsigned input_queue_limit_;
@@ -210,6 +291,14 @@ class BankBase : public gpu::L2Bank {
   power::EnergyLedger energy_;
   CounterSet counters_;
   Telemetry* telemetry_ = nullptr;
+
+  // Interned by intern_fault_ids() only (a CounterId of 0 would alias the
+  // first real counter, so every use sits behind an enabled() check).
+  struct FaultIds {
+    power::EnergyId scrub = 0;
+    CounterId ecc_corrected = 0, ecc_detected = 0, clean_refetch = 0, data_loss = 0;
+    CounterId wv_retries = 0, wv_escalations = 0;
+  } fault_ids_;
 };
 
 }  // namespace sttgpu::sttl2

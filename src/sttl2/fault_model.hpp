@@ -25,7 +25,8 @@
 // Stochastic write failures model the MTJ's non-deterministic switching:
 // each physical line write fails verification with write_fail_prob (times
 // accel); the recovery policy (bounded retry, then a boosted pulse) lives in
-// the banks, which charge the extra energy and occupancy per retry.
+// BankBase, which charges the extra energy and occupancy per retry to the
+// written Part.
 //
 // Determinism: each FaultModel owns a private xoshiro stream seeded from
 // (config seed, stream salt), so a (seed, workload) pair replays the exact

@@ -23,12 +23,9 @@
 // miss probes the other serially) or parallel (both probed at once).
 #pragma once
 
-#include "cache/tag_array.hpp"
 #include "cache/write_stats.hpp"
-#include "power/array_model.hpp"
 #include "sttl2/bank_base.hpp"
 #include "sttl2/config.hpp"
-#include "sttl2/fault_model.hpp"
 #include "sttl2/retention.hpp"
 #include "sttl2/rewrite_tracker.hpp"
 
@@ -70,7 +67,7 @@ class TwoPartBank final : public BankBase {
   TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config, const Clock& clock,
               gpu::DramChannel& dram);
 
-  Watt leakage_w() const override { return hr_costs_.leakage_w + lr_costs_.leakage_w; }
+  Watt leakage_w() const override { return hr_.costs.leakage_w + lr_.costs.leakage_w; }
 
   /// Base counters plus the two-part gauges: LR/HR occupancy, swap-buffer
   /// depths and the current (possibly adapted) migration threshold.
@@ -91,10 +88,10 @@ class TwoPartBank final : public BankBase {
   double lr_write_utilization() const noexcept;
 
   const TwoPartBankConfig& config() const noexcept { return config_; }
-  const power::ArrayCosts& hr_costs() const noexcept { return hr_costs_; }
-  const power::ArrayCosts& lr_costs() const noexcept { return lr_costs_; }
-  const cache::TagArray& lr_tags() const noexcept { return lr_tags_; }
-  const cache::TagArray& hr_tags() const noexcept { return hr_tags_; }
+  const power::ArrayCosts& hr_costs() const noexcept { return hr_.costs; }
+  const power::ArrayCosts& lr_costs() const noexcept { return lr_.costs; }
+  const cache::TagArray& lr_tags() const noexcept { return lr_.tags; }
+  const cache::TagArray& hr_tags() const noexcept { return hr_.tags; }
 
   /// Physical-write (wear) distribution over each part's cells, including
   /// fills, migrations and refreshes — the endurance view of i2WAP.
@@ -108,8 +105,8 @@ class TwoPartBank final : public BankBase {
   std::uint64_t lr_rotation_offset() const noexcept { return lr_offset_; }
 
   /// Fault-injection streams (inert when config().faults.enabled is false).
-  const FaultModel& lr_faults() const noexcept { return lr_faults_; }
-  const FaultModel& hr_faults() const noexcept { return hr_faults_; }
+  const FaultModel& lr_faults() const noexcept { return lr_.faults; }
+  const FaultModel& hr_faults() const noexcept { return hr_.faults; }
 
  protected:
   void process_request(const gpu::L2Request& request, Cycle now) override;
@@ -144,57 +141,23 @@ class TwoPartBank final : public BankBase {
   Addr to_lr(Addr a) const noexcept { return a + lr_offset_ * config_.line_bytes; }
   Addr from_lr(Addr a) const noexcept { return a - lr_offset_ * config_.line_bytes; }
 
-  /// Charges one physical line write in the given part, honouring EWT.
-  void charge_lr_write(Addr addr);
-  void charge_hr_write(Addr addr);
+  /// One physical line write into @p p (LR or HR): occupancy, energy, wear
+  /// and write-verify retries. Returns the completion cycle of the last
+  /// pulse.
+  Cycle data_write(Part& p, Addr key, Cycle now);
 
-  // --- fault injection (every helper is a no-op when faults are disabled) ---
-
-  /// One physical data-array write (occupancy + energy + write-verify
-  /// retries). Replaces the occupy/charge pair on every write path; returns
-  /// the completion cycle of the last pulse.
-  Cycle lr_data_write(Addr key, Cycle now);
-  Cycle hr_data_write(Addr addr, Cycle now);
-
-  /// Evaluates the decay interval of the hit line ending at @p now and
-  /// applies recovery: ECC-corrects a single-bit collapse with a scrub
-  /// write; invalidates unrecoverable lines (clean -> the demand access
-  /// falls through to a transparent DRAM re-fetch; dirty -> counted data
-  /// loss). Returns true if the line was invalidated.
+  /// Evaluates the decay of the hit line and applies recovery (see
+  /// BankBase::check_hit), re-arming a scrubbed line's refresh (LR) or
+  /// expiry (HR). Returns true if the line was invalidated.
   bool fault_read_check(bool lr_part, Addr key, unsigned way, Cycle now);
 
-  enum class Carry { kOk, kDrop };
-  /// Evaluates the decay interval of a line whose data was just read out to
-  /// be carried elsewhere (eviction, writeback, refresh). kDrop: the data is
-  /// unrecoverable (or clean and re-fetchable) and must not be propagated.
-  Carry fault_carry_trial(FaultModel& fm, cache::LineMeta& line, Cycle retention_cycles,
-                          Cycle now);
-
-  /// Applies the write-verify retry policy to a write finishing at @p done.
-  Cycle apply_write_verify(FaultModel& fm, SubbankedServer& data, Addr key, Cycle done,
-                           Cycle occ, power::EnergyId cat, PicoJoule pulse_pj);
-
   TwoPartBankConfig config_;
-  Clock clock_;
-
-  power::ArrayCosts hr_costs_;
-  power::ArrayCosts lr_costs_;
-  cache::TagArray hr_tags_;
-  cache::TagArray lr_tags_;
+  Part lr_;
+  Part hr_;
 
   RetentionClock hr_retention_;
   RetentionClock lr_retention_;
 
-  FaultModel lr_faults_;
-  FaultModel hr_faults_;
-
-  SubbankedServer hr_data_;
-  SubbankedServer lr_data_;
-
-  // cycles, precomputed from the array models
-  Cycle hr_tag_lat_, lr_tag_lat_;
-  Cycle hr_read_occ_, hr_write_occ_;
-  Cycle lr_read_occ_, lr_write_occ_;
   PicoJoule buffer_entry_pj_;
 
   BufferWindow hr2lr_;
@@ -215,8 +178,6 @@ class TwoPartBank final : public BankBase {
   std::uint64_t interval_migrations_ = 0;
   std::uint64_t interval_evictions_ = 0;
 
-  double write_energy_scale_ = 1.0;  ///< EWT factor (1.0 when disabled)
-
   // Wear-leveling state (extension; inert when disabled).
   std::uint64_t lr_offset_ = 0;
   std::uint64_t lr_writes_since_rotation_ = 0;
@@ -224,12 +185,7 @@ class TwoPartBank final : public BankBase {
   // Ledger/counter handles, interned once at construction so the per-access
   // path indexes vectors instead of hashing category/counter names.
   struct EnergyIds {
-    power::EnergyId lr_data_write, lr_tag_update, lr_tag_probe, lr_data_read, lr_refresh;
-    power::EnergyId hr_data_write, hr_tag_update, hr_tag_probe, hr_data_read;
-    power::EnergyId buffer;
-    // Interned only when fault injection is enabled, so disabled runs report
-    // the exact same category set as before the subsystem existed.
-    power::EnergyId fault_scrub = 0;
+    power::EnergyId lr_refresh, buffer;
   } e_;
   struct CounterIds {
     CounterId w_demand, w_lr, w_lr_hit, w_hr;
@@ -241,11 +197,6 @@ class TwoPartBank final : public BankBase {
     CounterId refreshes, refresh_forced_wb, refresh_forced_drop;
     CounterId hr_expired_dirty, hr_expired_clean;
     CounterId wear_rotations, threshold_up, threshold_down;
-    // Fault-injection counters; interned only when enabled (a CounterId of 0
-    // would alias the first real counter, so every use is gated).
-    CounterId fault_ecc_corrected = 0, fault_ecc_detected = 0;
-    CounterId fault_clean_refetch = 0, fault_data_loss = 0;
-    CounterId fault_wv_retries = 0, fault_wv_escalations = 0;
   } c_;
 };
 

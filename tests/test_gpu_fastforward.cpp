@@ -265,12 +265,15 @@ TEST(FastForwardEquivalence, ShortRetentionExpiryRunsArePinned) {
     Cycle cycles;
     std::uint64_t dram_writes, expired_clean, expired_dirty, refreshes;
     std::uint64_t data_loss, clean_refetch;
+    std::uint64_t ecc_corrected, ecc_detected, wv_retries, wv_escalations;
   };
   const Pin pins[] = {
-      {sim::Architecture::kC1, false, 80092, 3638, 14527, 2979, 8114, 0, 0},
-      {sim::Architecture::kSttBaseline, false, 81513, 4106, 17014, 3842, 0, 0, 0},
-      {sim::Architecture::kC1, true, 118895, 35, 11216, 1074, 0, 9613, 31625},
-      {sim::Architecture::kSttBaseline, true, 120138, 5, 14800, 1420, 0, 6581, 33883},
+      {sim::Architecture::kC1, false, 80092, 3638, 14527, 2979, 8114, 0, 0, 0, 0, 0, 0},
+      {sim::Architecture::kSttBaseline, false, 81513, 4106, 17014, 3842, 0, 0, 0, 0, 0, 0, 0},
+      {sim::Architecture::kC1, true, 118895, 35, 11216, 1074, 0, 9613, 31625, 14150, 9613,
+       1971, 0},
+      {sim::Architecture::kSttBaseline, true, 120138, 5, 14800, 1420, 0, 6581, 33883, 12982,
+       6581, 1894, 0},
   };
   const workload::Workload w = workload::make_benchmark("kmeans", 0.5);
   for (const Pin& pin : pins) {
@@ -296,6 +299,10 @@ TEST(FastForwardEquivalence, ShortRetentionExpiryRunsArePinned) {
       EXPECT_EQ(c.get("refreshes"), pin.refreshes);
       EXPECT_EQ(c.get("fault_data_loss"), pin.data_loss);
       EXPECT_EQ(c.get("fault_clean_refetch"), pin.clean_refetch);
+      EXPECT_EQ(c.get("fault_ecc_corrected"), pin.ecc_corrected);
+      EXPECT_EQ(c.get("fault_ecc_detected"), pin.ecc_detected);
+      EXPECT_EQ(c.get("fault_wv_retries"), pin.wv_retries);
+      EXPECT_EQ(c.get("fault_wv_escalations"), pin.wv_escalations);
     }
   }
 }

@@ -169,7 +169,58 @@ UniformBankConfig volatile_stt_cfg() {
   return c;
 }
 
+/// A small two-part bank whose HR part decays like volatile_stt_cfg()'s
+/// array, so loads (which stay in HR) see the same hazard.
+TwoPartBankConfig volatile_two_part_cfg() {
+  TwoPartBankConfig c;
+  c.hr_bytes = 14 * 1024;
+  c.lr_bytes = 4 * 1024;
+  c.hr_retention_s = volatile_stt_cfg().cell.retention_s;
+  c.lr_retention_s = 2e-6;
+  return c;
+}
+
 using UniformHarness = sttgpu::testing::UniformHarness;
+using TwoPartHarness = sttgpu::testing::TwoPartHarness;
+
+// Both bank kinds follow BankBase's one recovery policy; these bodies run
+// on each.
+
+template <typename Harness, typename Config>
+void expect_ecc_corrects_and_scrubs(Config cfg) {
+  cfg.faults = enabled_cfg();
+  cfg.faults.accel = 30.0;  // p ~ 0.1 per 2k-cycle interval: single-bit regime
+  cfg.faults.write_fail_prob = 0.0;
+  Harness h(cfg);
+  h.send(0x100, false);
+  h.drain();
+  for (int i = 0; i < 200; ++i) {
+    h.run(2000);
+    h.send(0x100, false);
+    h.drain();
+  }
+  const auto& c = h.bank().counters();
+  EXPECT_GE(c.get("fault_ecc_corrected"), 5u);
+  // The scrub write that restarts the corrected line's decay clock is
+  // charged to its own energy category.
+  EXPECT_GT(h.bank().energy().category_pj("l2.fault.scrub"), 0.0);
+}
+
+template <typename Harness, typename Config>
+void expect_write_verify_counted_per_physical_write(Config cfg) {
+  cfg.faults = enabled_cfg();
+  cfg.faults.accel = 0.0;         // isolate the write-failure mechanism
+  cfg.faults.write_fail_prob = 1.0;  // every pulse fails -> full retry ladder
+  cfg.faults.write_retry_limit = 3;
+  Harness h(cfg);
+  const auto id = h.send(0x100, /*is_store=*/true);
+  h.drain();
+  EXPECT_TRUE(h.responded(id));
+  const auto& c = h.bank().counters();
+  // Every physical line write exhausts its 3 retries and escalates once.
+  EXPECT_GE(c.get("fault_wv_escalations"), 1u);
+  EXPECT_EQ(c.get("fault_wv_retries"), 3 * c.get("fault_wv_escalations"));
+}
 
 TEST(UniformBankFaults, CleanCollapseRefetchesTransparently) {
   UniformBankConfig cfg = volatile_stt_cfg();
@@ -226,23 +277,11 @@ TEST(UniformBankFaults, DirtyCollapseWithEccIsDetected) {
 }
 
 TEST(UniformBankFaults, EccCorrectsSingleBitCollapsesAndScrubs) {
-  UniformBankConfig cfg = volatile_stt_cfg();
-  cfg.faults = enabled_cfg();
-  cfg.faults.accel = 30.0;  // p ~ 0.1 per 2k-cycle interval: single-bit regime
-  cfg.faults.write_fail_prob = 0.0;
-  UniformHarness h(cfg);
-  h.send(0x100, false);
-  h.drain();
-  for (int i = 0; i < 200; ++i) {
-    h.run(2000);
-    h.send(0x100, false);
-    h.drain();
-  }
-  const auto& c = h.bank().counters();
-  EXPECT_GE(c.get("fault_ecc_corrected"), 5u);
-  // The scrub write that restarts the corrected line's decay clock is
-  // charged to its own energy category.
-  EXPECT_GT(h.bank().energy().category_pj("l2.fault.scrub"), 0.0);
+  expect_ecc_corrects_and_scrubs<UniformHarness>(volatile_stt_cfg());
+}
+
+TEST(TwoPartBankFaults, EccCorrectsSingleBitCollapsesAndScrubs) {
+  expect_ecc_corrects_and_scrubs<TwoPartHarness>(volatile_two_part_cfg());
 }
 
 TEST(UniformBankFaults, RecoveryOutcomesPartitionCollapses) {
@@ -273,18 +312,11 @@ TEST(UniformBankFaults, WriteVerifyRetriesAreCountedPerPhysicalWrite) {
   UniformBankConfig cfg;
   cfg.capacity_bytes = 16 * 1024;
   cfg.cell = nvm::stt_cell(nvm::RetentionClass::kYears10);  // non-volatile
-  cfg.faults = enabled_cfg();
-  cfg.faults.accel = 0.0;         // isolate the write-failure mechanism
-  cfg.faults.write_fail_prob = 1.0;  // every pulse fails -> full retry ladder
-  cfg.faults.write_retry_limit = 3;
-  UniformHarness h(cfg);
-  const auto id = h.send(0x100, /*is_store=*/true);
-  h.drain();
-  EXPECT_TRUE(h.responded(id));
-  const auto& c = h.bank().counters();
-  // Every physical line write exhausts its 3 retries and escalates once.
-  EXPECT_GE(c.get("fault_wv_escalations"), 1u);
-  EXPECT_EQ(c.get("fault_wv_retries"), 3 * c.get("fault_wv_escalations"));
+  expect_write_verify_counted_per_physical_write<UniformHarness>(cfg);
+}
+
+TEST(TwoPartBankFaults, WriteVerifyRetriesAreCountedPerPhysicalWrite) {
+  expect_write_verify_counted_per_physical_write<TwoPartHarness>(volatile_two_part_cfg());
 }
 
 TEST(UniformBankFaults, DisabledKnobsHaveNoEffectAndInternNothing) {
@@ -327,7 +359,7 @@ TEST(TwoPartBankFaults, InjectsOnBothPartsWithIndependentStreams) {
   cfg.lr_bytes = 4 * 1024;
   cfg.faults = enabled_cfg();
   cfg.faults.accel = 200.0;
-  sttgpu::testing::TwoPartHarness h(cfg);
+  TwoPartHarness h(cfg);
   // Stores (landing in LR, refresh-scrubbed) and re-read loads (HR).
   for (int round = 0; round < 80; ++round) {
     for (int i = 0; i < 8; ++i) {

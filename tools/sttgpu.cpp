@@ -14,7 +14,6 @@
 //       persist write-through to the cache (format v2, scale- and
 //       config-fingerprinted), so an interrupted matrix resumes.
 //       Supervision knobs (all run-mode only, results are unaffected):
-//         watchdog=<s>     abort a job with no forward progress for s seconds
 //         job_timeout=<s>  per-job wall-clock budget
 //         retry=<n>        extra attempts for transiently failing jobs
 //         keep_going=1     quarantine failures, print a manifest, return the
@@ -37,9 +36,9 @@
 //       to a direct matrix run. Each simulation runs in a forked child under
 //       the matrix runner's supervisor — a crash, OOM (against mem_limit=)
 //       or wedge is reaped and retried/reported without taking the daemon
-//       down. Acknowledged submissions are journaled next to the store
-//       ("<cache>.journal") and replayed after a crash — even SIGKILL loses
-//       no accepted work.
+//       down; watchdog=<s> kills a child whose heartbeat stops. Acknowledged
+//       submissions are journaled next to the store ("<cache>.journal") and
+//       replayed after a crash — even SIGKILL loses no accepted work.
 //       SIGINT/SIGTERM drains gracefully (in-flight work finishes and is
 //       persisted) and exits 0.
 //
@@ -63,7 +62,7 @@
 //   2  usage error (unknown command or knob)
 //   3  interrupted (SIGINT/SIGTERM) — completed rows are cached; rerun with
 //      the same cache= to resume
-//   4  a job was killed by the watchdog or per-job timeout
+//   4  a matrix job was killed by its job_timeout=
 //   5  store fsck: quarantined data awaiting acknowledgement
 //   6  serve: cannot bind/listen on the requested socket
 //   7  client/server protocol version mismatch
@@ -272,9 +271,7 @@ int cmd_matrix(const Config& cfg) {
   opts.cache_path = sim::knob_string(cfg, kCmd, "cache");
   opts.jobs = sim::resolve_jobs(sim::knob_int(cfg, kCmd, "jobs"));
   opts.cancel = &g_cancel;
-  opts.watchdog_s = sim::knob_double(cfg, kCmd, "watchdog");
   opts.job_timeout_s = sim::knob_double(cfg, kCmd, "job_timeout");
-  STTGPU_REQUIRE(opts.watchdog_s >= 0.0, "watchdog= must be >= 0 seconds");
   STTGPU_REQUIRE(opts.job_timeout_s >= 0.0, "job_timeout= must be >= 0 seconds");
   const std::int64_t retries = sim::knob_int(cfg, kCmd, "retry");
   STTGPU_REQUIRE(retries >= 0, "retry= must be >= 0");
@@ -295,11 +292,7 @@ int cmd_matrix(const Config& cfg) {
   // above hold the partial matrix, the manifest already went to stderr —
   // still exit non-zero so scripts notice the sweep is incomplete.
   if (!report.all_ok()) {
-    if (report.count(sim::JobStatus::kWatchdog) > 0 ||
-        report.count(sim::JobStatus::kTimeout) > 0) {
-      return kExitWatchdog;
-    }
-    return kExitError;
+    return report.count(sim::JobStatus::kTimeout) > 0 ? kExitWatchdog : kExitError;
   }
   return kExitOk;
 }
@@ -560,8 +553,7 @@ int cmd_status(const Config& cfg) {
               << s.at("tasks_failed").as_int() << " failed)\n"
               << "  store hits      " << s.at("store_hits").as_int() << " (+"
               << s.at("attached").as_int() << " attached to in-flight tasks)\n"
-              << "  store rows      " << s.at("store_rows").as_int() << " ("
-              << s.at("merged_rows").as_int() << " merged from other writers)\n"
+              << "  store rows      " << s.at("store_rows").as_int() << "\n"
               << "  queue           " << s.at("queued").as_int() << " waiting, "
               << s.at("workers").as_int() << " worker"
               << (s.at("workers").as_int() == 1 ? "" : "s") << "\n";
