@@ -18,6 +18,14 @@ class SimError : public std::runtime_error {
   explicit SimError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A command line naming a knob its command does not take. Still a
+/// SimError, so every configuration-error handler catches it; the CLI maps
+/// it to the usage exit code.
+class UsageError : public SimError {
+ public:
+  using SimError::SimError;
+};
+
 namespace detail {
 [[noreturn]] inline void assert_fail(const char* expr, const char* file, int line,
                                      const std::string& msg) {

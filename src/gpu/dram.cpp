@@ -38,7 +38,11 @@ void DramChannel::read(Addr addr, std::uint64_t cookie, Cycle now) {
   // decides the access latency added on top.
   express_reads_ += pipe_.backlog(now) == 0 ? 1 : 0;
   const Cycle ready = pipe_.admit(now) + access_latency(addr);
-  pending_.push_back({ready, cookie});
+  if (open_page_) {
+    window_.push_back({ready, cookie});
+  } else {
+    fifo_.push_back({ready, cookie});
+  }
   if (ready < min_ready_) min_ready_ = ready;
   ++reads_;
 }
@@ -51,22 +55,30 @@ void DramChannel::write(Addr addr, Cycle now) {
 }
 
 void DramChannel::deliver_due(Cycle now) {
+  if (!open_page_) {
+    while (!fifo_.empty() && fifo_.front().ready <= now) {
+      const std::uint64_t cookie = fifo_.front().cookie;
+      fifo_.pop_front();
+      on_read_done_(cookie, now);
+    }
+    min_ready_ = fifo_.empty() ? kNoCycle : fifo_.front().ready;
+    return;
+  }
   // Open-page hits can complete before earlier row misses; scan the small
-  // pending window rather than assuming FIFO completion order. The scan and
-  // swap-remove order are unchanged from the unconditional version, so the
-  // delivery order (and everything downstream of it) is identical.
-  for (std::size_t i = 0; i < pending_.size();) {
-    if (pending_[i].ready <= now) {
-      const Pending p = pending_[i];
-      pending_[i] = pending_.back();
-      pending_.pop_back();
+  // window rather than assuming FIFO completion order. The scan and
+  // swap-remove order fix the delivery order of same-cycle completions.
+  for (std::size_t i = 0; i < window_.size();) {
+    if (window_[i].ready <= now) {
+      const Pending p = window_[i];
+      window_[i] = window_.back();
+      window_.pop_back();
       on_read_done_(p.cookie, now);
     } else {
       ++i;
     }
   }
   min_ready_ = kNoCycle;
-  for (const Pending& p : pending_) min_ready_ = p.ready < min_ready_ ? p.ready : min_ready_;
+  for (const Pending& p : window_) min_ready_ = p.ready < min_ready_ ? p.ready : min_ready_;
 }
 
 void DramChannel::sample_telemetry(unsigned channel, Telemetry& out) const {

@@ -6,13 +6,16 @@
 // mode, a row-buffer model where hits to the channel's last-activated row
 // are faster. Reads complete with a callback to the owning L2 bank;
 // writebacks are fire and forget (they still consume bandwidth and move the
-// open row).
+// open row). Closed-page reads complete in admission order (one latency
+// behind a monotone pipe), so they wait in a FIFO; open-page row hits can
+// overtake earlier misses, so that mode scans a small unordered window.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 #include <functional>
 
+#include "common/ring_queue.hpp"
 #include "common/types.hpp"
 #include "gpu/gpu_config.hpp"
 #include "gpu/pipe.hpp"
@@ -62,7 +65,7 @@ class DramChannel {
   std::uint64_t queued_reads() const noexcept { return reads_ - express_reads_; }
   std::uint64_t row_hits() const noexcept { return row_hits_; }
   std::uint64_t row_misses() const noexcept { return row_misses_; }
-  bool idle() const noexcept { return pending_.empty(); }
+  bool idle() const noexcept { return fifo_.empty() && window_.empty(); }
 
  private:
   struct Pending {
@@ -75,8 +78,9 @@ class DramChannel {
 
   ThroughputPipe pipe_;
   ReadCallback on_read_done_;
-  std::vector<Pending> pending_;  // small unordered window (open-page reorders)
-  Cycle min_ready_ = kNoCycle;    // min over pending_ ready cycles
+  RingQueue<Pending> fifo_;       // closed page: ready cycles ascend
+  std::vector<Pending> window_;   // open page: unordered (row hits reorder)
+  Cycle min_ready_ = kNoCycle;    // earliest pending ready cycle
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t express_reads_ = 0;

@@ -33,15 +33,11 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
   senders_.reserve(config_.num_sms);
   for (unsigned s = 0; s < config_.num_sms; ++s) {
     sms_.push_back(std::make_unique<Sm>(s, config_));
-    senders_.push_back([this, s](Addr addr, bool is_store) -> std::uint64_t {
-      const std::uint64_t id = next_request_id_++;
-      L2Request req;
-      req.id = id;
-      req.addr = addr;
-      req.is_store = is_store;
+    senders_.push_back([this, s](L2Request req) {
+      req.id = next_request_id_++;
       req.sm_id = s;
       req.created = now_;
-      const unsigned b = bank_of(addr);
+      const unsigned b = bank_of(req.addr);
       const Cycle arrival = icnt_.send_request(b, req, now_);
       if (wake_.has_value()) {
         // Sends fired outside a step (L1 flush at now_) must land this very
@@ -55,7 +51,6 @@ Gpu::Gpu(const GpuConfig& config, L2BankFactory& l2_factory)
           wake_->post(b, arrival);
         }
       }
-      return id;
     });
   }
   if (config_.fast_forward) {
@@ -332,6 +327,12 @@ void Gpu::drain_memory() {
     // entry) would inflate now_ past where the plain loop stops.
     if (!memory_idle()) fast_forward();
     if (now_ >= sup_next_) supervision_point();
+  }
+  // Loads and stores are in memory_idle(); write-backs hold no credit, so
+  // their count is checked here: every one was answered.
+  for (const auto& sm : sms_) {
+    STTGPU_ASSERT_MSG(sm->inflight_writebacks() == 0,
+                      "Gpu: memory drained with L1 write-backs unanswered");
   }
 }
 

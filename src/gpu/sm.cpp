@@ -24,19 +24,39 @@ void Sm::start_kernel(const workload::KernelSpec& kernel, std::deque<unsigned> b
   STTGPU_REQUIRE(resident_blocks > 0, "Sm: need at least one resident block slot");
   STTGPU_ASSERT_MSG(active_warps_ == 0, "Sm: previous kernel still running");
 
+  const unsigned resident_warps = resident_blocks * kernel.warps_per_block();
+  STTGPU_REQUIRE(resident_warps <= 64,
+                 "Sm: at most 64 resident warps per SM (the ready and sleep sets are "
+                 "64-bit masks); kernel '" + kernel.name + "' would keep " +
+                     std::to_string(resident_warps) + " resident (" +
+                     std::to_string(resident_blocks) + " blocks x " +
+                     std::to_string(kernel.warps_per_block()) + " warps)");
+
   kernel_ = kernel;
   block_queue_ = std::move(block_queue);
   warps_in_grid_ = warps_in_grid;
   workload_seed_ = workload_seed;
   warps_per_block_ = kernel.warps_per_block();
 
-  warps_.assign(static_cast<std::size_t>(resident_blocks) * warps_per_block_, WarpCtx{});
+  warps_.assign(resident_warps, WarpCtx{});
   block_live_warps_.assign(resident_blocks, 0);
-  ready_bits_.assign((warps_.size() + 63) / 64, 0);
-  ready_count_ = 0;
+  ready_bits_ = 0;
   stall_clean_ = false;
-  while (!sleep_heap_.empty()) sleep_heap_.pop();
   last_issued_ = -1;
+
+  // Size the sleep calendar from the longest sleep this kernel can take.
+  // Pending wakes span at most that plus one cycle (a zero-latency sleep is
+  // woken on the next cycle, after new sleeps may already be queued), so
+  // the slot count must exceed the span.
+  unsigned longest = std::max({kernel.compute_latency, config_->l1_hit_latency,
+                               static_cast<unsigned>(kWakeLatency), 1u});
+  if (kernel.shared_fraction > 0.0) longest = std::max(longest, 32 * kernel.shared_latency);
+  const unsigned slots = std::bit_ceil(longest + 2);
+  sleep_slots_.assign(slots, 0);
+  sleep_occupied_.assign((slots + 63) / 64, 0);
+  sleep_mask_ = slots - 1;
+  next_wake_ = kNoCycle;
+  last_wake_ = 0;
 
   for (unsigned slot = 0; slot < resident_blocks && !block_queue_.empty(); ++slot) {
     launch_block(slot, 0);
@@ -56,39 +76,64 @@ void Sm::launch_block(unsigned slot, Cycle /*now*/) {
     ctx.stream.emplace(kernel_, warp_global, warps_in_grid_, workload_seed_);
     ctx.pending.reset();
     ctx.state = WarpState::kReady;
-    ctx.ready_at = 0;
     ctx.awaiting = 0;
     ctx.block_slot = slot;
-    set_ready(idx);
-    // A launch during cycle()'s issue loop must add the fresh warps to the
-    // tail of this cycle's candidate list (they are issue candidates right
-    // away); outside the loop the scratch is rebuilt before use anyway.
-    issue_order_.push_back(idx);
+    set_ready(bit(idx));
+    // A launch during cycle()'s issue walk makes the fresh warps candidates
+    // of this very cycle, after the walk's snapshot; outside a walk the list
+    // is cleared before use anyway.
+    launched_.push_back(idx);
     ++active_warps_;
   }
   block_live_warps_[slot] = warps_per_block_;
 }
 
 void Sm::wake_due(Cycle now) {
-  while (!sleep_heap_.empty() && sleep_heap_.top().first <= now) {
-    const unsigned warp = sleep_heap_.top().second;
-    sleep_heap_.pop();
-    WarpCtx& ctx = warps_[warp];
-    // Stale entries can exist if a warp was re-slept; only the entry whose
-    // time matches wakes it.
-    if (ctx.state == WarpState::kSleeping && ctx.ready_at <= now) {
-      ctx.state = WarpState::kReady;
-      set_ready(warp);
+  // Wake whole slots in cycle order; the warps of one slot wake together.
+  do {
+    const unsigned slot = static_cast<unsigned>(next_wake_) & sleep_mask_;
+    for (std::uint64_t m = sleep_slots_[slot]; m != 0; m &= m - 1) {
+      warps_[static_cast<unsigned>(std::countr_zero(m))].state = WarpState::kReady;
     }
+    set_ready(sleep_slots_[slot]);
+    sleep_slots_[slot] = 0;
+    sleep_occupied_[slot >> 6] &= ~bit(slot & 63u);
+    // Every pending wake lies within one calendar turn, so the slot distance
+    // to the next occupied slot is the cycle distance to the next wake.
+    const unsigned gap = next_sleep_gap(slot);
+    next_wake_ = gap == 0 ? kNoCycle : next_wake_ + gap;
+  } while (next_wake_ <= now);
+}
+
+unsigned Sm::next_sleep_gap(unsigned slot) const noexcept {
+  const unsigned words = static_cast<unsigned>(sleep_occupied_.size());
+  const unsigned from = (slot + 1) & sleep_mask_;
+  unsigned w = from >> 6;
+  std::uint64_t m = sleep_occupied_[w] & (~std::uint64_t{0} << (from & 63u));
+  // One pass over every word, then the first word again for the bits below
+  // `from`, which come later cyclically.
+  for (unsigned i = 0; i <= words; ++i) {
+    if (m != 0) {
+      return (w * 64 + static_cast<unsigned>(std::countr_zero(m)) - slot) & sleep_mask_;
+    }
+    w = w + 1 == words ? 0 : w + 1;
+    m = sleep_occupied_[w];
   }
+  return 0;
 }
 
 void Sm::sleep_warp(unsigned warp, Cycle until) {
-  WarpCtx& ctx = warps_[warp];
   clear_ready(warp);
-  ctx.state = WarpState::kSleeping;
-  ctx.ready_at = until;
-  sleep_heap_.emplace(until, warp);
+  warps_[warp].state = WarpState::kSleeping;
+  // An empty calendar keeps next_wake_ == kNoCycle and a last_wake_ already
+  // woken, so both bounds come out exact without a special case.
+  next_wake_ = std::min(next_wake_, until);
+  last_wake_ = std::max(last_wake_, until);
+  STTGPU_ASSERT_MSG(last_wake_ - next_wake_ <= sleep_mask_,
+                    "Sm: pending wakes span more than the sleep calendar");
+  const unsigned slot = static_cast<unsigned>(until) & sleep_mask_;
+  sleep_slots_[slot] |= bit(warp);
+  sleep_occupied_[slot >> 6] |= bit(slot & 63u);
 }
 
 void Sm::finish_warp(unsigned warp, Cycle now) {
@@ -105,27 +150,9 @@ void Sm::finish_warp(unsigned warp, Cycle now) {
   }
 }
 
-void Sm::append_ready_range(unsigned lo, unsigned hi) {
-  if (lo >= hi) return;
-  const unsigned first = lo >> 6;
-  const unsigned last = (hi - 1) >> 6;
-  for (unsigned wi = first; wi <= last; ++wi) {
-    std::uint64_t m = ready_bits_[wi];
-    if (wi == first) m &= ~std::uint64_t{0} << (lo & 63u);
-    const unsigned word_end = (wi + 1) * 64u;
-    if (word_end > hi) m &= ~std::uint64_t{0} >> (word_end - hi);
-    while (m != 0) {
-      issue_order_.push_back(wi * 64u + static_cast<unsigned>(std::countr_zero(m)));
-      m &= m - 1;
-    }
-  }
-}
-
 void Sm::cycle(Cycle now, const SendTxnFn& send) {
-  // Inline fast path for the common no-sleeper-due case; wake_due's loop
-  // keeps the compiler from inlining it wholesale.
-  if (!sleep_heap_.empty() && sleep_heap_.top().first <= now) wake_due(now);
-  if (ready_count_ == 0) {
+  if (next_wake_ <= now) wake_due(now);
+  if (ready_bits_ == 0) {
     if (active_warps_ > 0) ++stats_.idle_cycles;
     return;
   }
@@ -136,41 +163,34 @@ void Sm::cycle(Cycle now, const SendTxnFn& send) {
     return;
   }
 
-  // Candidate ordering per scheduler policy, rebuilt from the ready bitmap:
-  // ascending slot order IS the GTO oldest-first sort, and the circular walk
-  // starting just past the last issued warp IS the LRR rotated sort. NOTE:
-  // try_issue may finish a warp, which can launch a new block — launch_block
-  // then appends the fresh warps to issue_order_, so they become candidates
-  // at the tail of this cycle exactly as before.
-  issue_order_.clear();
-  const unsigned n = static_cast<unsigned>(warps_.size());
-  if (config_->scheduler == SchedulerKind::kLrr && last_issued_ >= 0) {
-    const unsigned start = (static_cast<unsigned>(last_issued_) + 1) % n;
-    append_ready_range(start, n);
-    append_ready_range(0, start);
-  } else {
-    append_ready_range(0, n);
-  }
+  // Candidates in scheduler order, from a snapshot of the ready set: GTO
+  // walks it ascending (oldest first) after trying the greedy warp, LRR
+  // circularly from just past the last issued warp. try_issue may finish a
+  // warp, which can launch a new block; launch_block lists the fresh warps
+  // in launched_, and they are this cycle's last candidates.
+  launched_.clear();
+  const std::uint64_t snapshot = ready_bits_;
   bool issued = false;
-
-  if (config_->scheduler == SchedulerKind::kGto && last_issued_ >= 0) {
-    const unsigned greedy = static_cast<unsigned>(last_issued_);
-    if (is_ready(greedy) && warps_[greedy].state == WarpState::kReady &&
-        !issue_precheck_fails(warps_[greedy]) && try_issue(greedy, now, send)) {
-      issued = true;
+  if (config_->scheduler == SchedulerKind::kLrr && last_issued_ >= 0) {
+    const unsigned start =
+        (static_cast<unsigned>(last_issued_) + 1) % static_cast<unsigned>(warps_.size());
+    const std::uint64_t from_start = snapshot & (~std::uint64_t{0} << start);
+    issued = issue_first(from_start, now, send) ||
+             issue_first(snapshot & ~from_start, now, send);
+  } else {
+    if (config_->scheduler == SchedulerKind::kGto && last_issued_ >= 0) {
+      const unsigned greedy = static_cast<unsigned>(last_issued_);
+      const WarpCtx& ctx = warps_[greedy];
+      issued = ctx.state == WarpState::kReady && !issue_precheck_fails(ctx) &&
+               try_issue(greedy, now, send);
     }
+    issued = issued || issue_first(snapshot, now, send);
   }
-  for (std::size_t i = 0; !issued && i < issue_order_.size(); ++i) {
-    const unsigned warp = issue_order_[i];
-    const WarpCtx& ctx = warps_[warp];
-    if (ctx.state != WarpState::kReady || issue_precheck_fails(ctx)) continue;
-    if (try_issue(warp, now, send)) {
-      issued = true;
-      last_issued_ = static_cast<int>(warp);
-    }
+  for (std::size_t i = 0; !issued && i < launched_.size(); ++i) {
+    issued = issue_first(bit(launched_[i]), now, send);
   }
 
-  if (!issued && ready_count_ > 0) {
+  if (!issued && ready_bits_ != 0) {
     ++stats_.stall_cycles;
     // The walk left stable state behind: every surviving candidate has its
     // pending instruction materialized and failed a pure precheck. Until a
@@ -178,13 +198,14 @@ void Sm::cycle(Cycle now, const SendTxnFn& send) {
     // the smallest per-kind transaction need so on_response() can tell
     // whether a freed credit can actually unstick anything: a walk failing
     // means every candidate is a non-shared load/store (anything else would
-    // have issued), so the two mins cover the whole candidate set.
+    // have issued), so the two mins cover the whole candidate set. The
+    // ready set now is exactly the walk's surviving candidates: only
+    // launch_block made warps ready during it.
     stall_clean_ = true;
     stall_load_need_ = kNoNeed;
     stall_store_need_ = kNoNeed;
-    for (const unsigned warp : issue_order_) {
-      const WarpCtx& ctx = warps_[warp];
-      if (ctx.state != WarpState::kReady) continue;
+    for (std::uint64_t m = ready_bits_; m != 0; m &= m - 1) {
+      const WarpCtx& ctx = warps_[static_cast<unsigned>(std::countr_zero(m))];
       STTGPU_ASSERT(ctx.pending.has_value());
       const WarpInstr& instr = *ctx.pending;
       const unsigned need = static_cast<unsigned>(instr.transactions.size());
@@ -195,6 +216,19 @@ void Sm::cycle(Cycle now, const SendTxnFn& send) {
       }
     }
   }
+}
+
+bool Sm::issue_first(std::uint64_t order, Cycle now, const SendTxnFn& send) {
+  for (; order != 0; order &= order - 1) {
+    const unsigned warp = static_cast<unsigned>(std::countr_zero(order));
+    const WarpCtx& ctx = warps_[warp];
+    if (ctx.state != WarpState::kReady || issue_precheck_fails(ctx)) continue;
+    if (try_issue(warp, now, send)) {
+      last_issued_ = static_cast<int>(warp);
+      return true;
+    }
+  }
+  return false;
 }
 
 // Mirrors try_issue's structural prechecks for a warp whose pending
@@ -278,8 +312,7 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
         mshr_[line].push_back(warp);
         ++awaiting;
       }
-      const std::uint64_t id = send(line, /*is_store=*/false);
-      inflight_meta_[id] = TxnMeta{line, instr.space, false, false};
+      send(L2Request{.addr = line, .is_store = false, .space = instr.space});
       ++inflight_loads_;
     }
     ctx.pending.reset();
@@ -303,47 +336,47 @@ bool Sm::try_issue(unsigned warp, Cycle now, const SendTxnFn& send) {
     ++stats_.store_transactions;
     const L1Outcome out = l1_.access(line, WarpInstr::Kind::kStore, instr.space, now);
     if (out.send_write) {
-      const std::uint64_t id = send(line, /*is_store=*/true);
-      inflight_meta_[id] = TxnMeta{line, instr.space, true, false};
+      send(L2Request{.addr = line, .is_store = true, .space = instr.space});
       ++inflight_stores_;
     }
-    for (const Addr wb : out.writebacks) send_writeback(wb, now, send);
+    for (const Addr wb : out.writebacks) send_writeback(wb, send);
   }
   ctx.pending.reset();
   sleep_warp(warp, now + 1);  // stores retire into the memory system
   return true;
 }
 
-void Sm::send_writeback(Addr addr, Cycle /*now*/, const SendTxnFn& send) {
-  const std::uint64_t id = send(addr, /*is_store=*/true);
-  inflight_meta_[id] = TxnMeta{addr, MemSpace::kLocal, true, true};
+void Sm::send_writeback(Addr addr, const SendTxnFn& send) {
+  send(L2Request{
+      .addr = addr, .is_store = true, .space = MemSpace::kLocal, .is_writeback = true});
+  ++inflight_writebacks_;
 }
 
 void Sm::process_response(const L2Response& response, Cycle now, const SendTxnFn& send) {
-  const TxnMeta* it = inflight_meta_.find(response.id);
-  STTGPU_ASSERT_MSG(it != nullptr, "Sm: response for unknown request");
-  const TxnMeta meta = *it;
-  inflight_meta_.erase(response.id);
-
-  if (meta.is_store) {
-    if (!meta.is_writeback) {
-      STTGPU_ASSERT(inflight_stores_ > 0);
-      --inflight_stores_;
-    }
+  // Every response echoes what its request was, so the in-flight counts
+  // alone check that each one answers a transaction this SM sent.
+  if (response.is_writeback) {
+    STTGPU_ASSERT_MSG(inflight_writebacks_ > 0, "Sm: write-back response with none in flight");
+    --inflight_writebacks_;
+    return;
+  }
+  if (response.is_store) {
+    STTGPU_ASSERT_MSG(inflight_stores_ > 0, "Sm: store response with none in flight");
+    --inflight_stores_;
     return;
   }
 
   // Load fill: install in L1 and wake every merged waiter.
-  STTGPU_ASSERT(inflight_loads_ > 0);
+  STTGPU_ASSERT_MSG(inflight_loads_ > 0, "Sm: load response with none in flight");
   --inflight_loads_;
   writeback_scratch_.clear();
-  l1_.fill(meta.line_addr, meta.space, now, writeback_scratch_);
-  for (const Addr wb : writeback_scratch_) send_writeback(wb, now, send);
+  l1_.fill(response.addr, response.space, now, writeback_scratch_);
+  for (const Addr wb : writeback_scratch_) send_writeback(wb, send);
 
-  auto* mit = mshr_.find(meta.line_addr);
+  auto* mit = mshr_.find(response.addr);
   if (mit != nullptr) {  // else: duplicate fetch (merge overflow) case
     const auto waiters = std::move(*mit);
-    mshr_.erase(meta.line_addr);
+    mshr_.erase(response.addr);
     for (const unsigned warp : waiters) {
       WarpCtx& ctx = warps_[warp];
       STTGPU_ASSERT(ctx.state == WarpState::kBlocked && ctx.awaiting > 0);
@@ -383,8 +416,8 @@ void Sm::on_responses(const L2Response* responses, std::size_t n, Cycle now,
   if (n != 0) recheck_stall();
 }
 
-void Sm::flush_l1(Cycle now, const SendTxnFn& send) {
-  for (const Addr wb : l1_.flush()) send_writeback(wb, now, send);
+void Sm::flush_l1(Cycle /*now*/, const SendTxnFn& send) {
+  for (const Addr wb : l1_.flush()) send_writeback(wb, send);
 }
 
 void Sm::sample_telemetry(Telemetry& out) const {

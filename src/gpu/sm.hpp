@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -33,8 +32,10 @@ class Telemetry;
 
 namespace sttgpu::gpu {
 
-/// Emits one 128B transaction toward the L2; returns the global request id.
-using SendTxnFn = std::function<std::uint64_t(Addr addr, bool is_store)>;
+/// Emits one 128B transaction toward the L2. The SM fills in what the
+/// transaction is (addr, is_store, space, is_writeback); the sender stamps
+/// how it is routed (id, sm_id, created).
+using SendTxnFn = std::function<void(L2Request request)>;
 
 struct SmStats {
   std::uint64_t issued_instructions = 0;
@@ -84,6 +85,10 @@ class Sm {
   /// In-flight transactions this SM is still waiting on (loads + stores).
   unsigned inflight() const noexcept { return inflight_loads_ + inflight_stores_; }
 
+  /// L1 write-backs sent and not yet answered. They hold no credit, so
+  /// inflight() leaves them out; a drained memory system leaves zero.
+  unsigned inflight_writebacks() const noexcept { return inflight_writebacks_; }
+
   /// Earliest absolute cycle at which this SM can make progress on its own:
   /// 0 (i.e. "every cycle") while a warp is ready AND the last stall walk's
   /// outcome may have changed, the earliest sleeper's wake-up otherwise,
@@ -92,13 +97,10 @@ class Sm {
   /// already completed with no state change (stall_clean_) is skippable:
   /// re-walking is a pure check that fails identically until a wake or a
   /// memory response dirties it, and responses show up as interconnect
-  /// arrivals in the caller's event lane. Stale sleep-heap entries only make
-  /// this conservative (an early no-op tick), exactly as the per-cycle loop
-  /// would pop them.
+  /// arrivals in the caller's event lane.
   Cycle next_event_cycle() const noexcept {
-    if (ready_count_ > 0 && !stall_clean_) return 0;
-    if (!sleep_heap_.empty()) return sleep_heap_.top().first;
-    return kNoCycle;
+    if (ready_bits_ != 0 && !stall_clean_) return 0;
+    return next_wake_;
   }
 
   /// Accounts @p skipped fast-forwarded cycles exactly as the per-cycle loop
@@ -107,7 +109,7 @@ class Sm {
   /// count a stall cycle; otherwise no warp is ready and — with live warps —
   /// cycle() would count an idle cycle.
   void account_skipped_cycles(Cycle skipped) noexcept {
-    if (ready_count_ > 0) {
+    if (ready_bits_ != 0) {
       stats_.stall_cycles += skipped;
     } else if (active_warps_ > 0) {
       stats_.idle_cycles += skipped;
@@ -130,17 +132,8 @@ class Sm {
     std::optional<workload::WarpStream> stream;
     std::optional<workload::WarpInstr> pending;
     WarpState state = WarpState::kInactive;
-    Cycle ready_at = 0;
     unsigned awaiting = 0;   ///< load transactions outstanding
     unsigned block_slot = 0;
-  };
-
-  /// Bookkeeping for one in-flight L2 transaction.
-  struct TxnMeta {
-    Addr line_addr = 0;            ///< L1-line address (fill key), loads only
-    workload::MemSpace space = workload::MemSpace::kGlobal;
-    bool is_store = false;
-    bool is_writeback = false;     ///< L1 dirty eviction (uses no credit)
   };
 
   void launch_block(unsigned slot, Cycle now);
@@ -149,38 +142,28 @@ class Sm {
   /// now passes its prechecks with the live credit/MSHR levels.
   void recheck_stall() noexcept;
   void wake_due(Cycle now);
+  /// Slots from @p slot to the next occupied calendar slot after it,
+  /// cyclically; 0 when every other slot is empty.
+  unsigned next_sleep_gap(unsigned slot) const noexcept;
   bool issue_precheck_fails(const WarpCtx& ctx) const noexcept;
+  /// Tries the candidates in @p order (ascending warp index), skipping any
+  /// that is no longer ready or fails a precheck; true once one issues.
+  bool issue_first(std::uint64_t order, Cycle now, const SendTxnFn& send);
   bool try_issue(unsigned warp, Cycle now, const SendTxnFn& send);
   void sleep_warp(unsigned warp, Cycle until);
   void finish_warp(unsigned warp, Cycle now);
-  void send_writeback(Addr addr, Cycle now, const SendTxnFn& send);
+  void send_writeback(Addr addr, const SendTxnFn& send);
 
-  // The ready set is a packed bitmap (one bit per warp slot), kept exactly
-  // in sync with WarpState::kReady. Iterating set bits ascending reproduces
-  // the old sorted-vector candidate order without the per-cycle sort.
-  bool is_ready(unsigned warp) const noexcept {
-    return ((ready_bits_[warp >> 6] >> (warp & 63u)) & 1u) != 0;
-  }
-  void set_ready(unsigned warp) noexcept {
-    std::uint64_t& word = ready_bits_[warp >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (warp & 63u);
-    if ((word & bit) == 0) {
-      word |= bit;
-      ++ready_count_;
-    }
+  static constexpr std::uint64_t bit(unsigned i) noexcept { return std::uint64_t{1} << i; }
+
+  // The ready set is one bit per warp slot (start_kernel admits at most 64),
+  // kept exactly in sync with WarpState::kReady.
+  void set_ready(std::uint64_t warps) noexcept {
+    ready_bits_ |= warps;
     // A new candidate can change a stalled walk's outcome.
     stall_clean_ = false;
   }
-  void clear_ready(unsigned warp) noexcept {
-    std::uint64_t& word = ready_bits_[warp >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (warp & 63u);
-    if ((word & bit) != 0) {
-      word &= ~bit;
-      --ready_count_;
-    }
-  }
-  /// Appends the ready warps with index in [lo, hi) to issue_order_.
-  void append_ready_range(unsigned lo, unsigned hi);
+  void clear_ready(unsigned warp) noexcept { ready_bits_ &= ~bit(warp); }
 
   unsigned id_;
   const GpuConfig* config_;
@@ -197,12 +180,23 @@ class Sm {
   unsigned active_warps_ = 0;
 
   // Scheduling structures
-  using SleepEntry = std::pair<Cycle, unsigned>;  // (ready_at, warp)
-  std::priority_queue<SleepEntry, std::vector<SleepEntry>, std::greater<>> sleep_heap_;
-  std::vector<std::uint64_t> ready_bits_;  ///< packed kReady set, one bit per warp
-  unsigned ready_count_ = 0;               ///< population count of ready_bits_
-  std::vector<unsigned> issue_order_;      ///< per-cycle candidate scratch
+  std::uint64_t ready_bits_ = 0;  ///< kReady set, one bit per warp
+  /// Warps launch_block made ready during the current issue walk, in launch
+  /// order: they are candidates after the walk's snapshot of ready_bits_.
+  std::vector<unsigned> launched_;
   int last_issued_ = -1;  // GTO greedy preference
+  /// Sleep calendar: the warps waking at cycle c are the bits of
+  /// sleep_slots_[c & sleep_mask_]. Every sleep length is known when the
+  /// kernel starts, so start_kernel sizes the calendar to cover the widest
+  /// span of pending wakes and no two pending wake cycles share a slot
+  /// (sleep_warp asserts it). sleep_occupied_ has one bit per non-empty
+  /// slot; next_wake_ and last_wake_ are the earliest and latest pending
+  /// wake cycles (next_wake_ is kNoCycle when nobody sleeps).
+  std::vector<std::uint64_t> sleep_slots_;
+  std::vector<std::uint64_t> sleep_occupied_;
+  unsigned sleep_mask_ = 0;
+  Cycle next_wake_ = kNoCycle;
+  Cycle last_wake_ = 0;
   /// The last cycle() walk stalled (ready warps, none issuable) and nothing
   /// has changed since: a failed walk is a pure check — every candidate has
   /// its pending instruction materialized and fails a credit/MSHR precheck
@@ -224,9 +218,9 @@ class Sm {
   // Memory-side state
   SmallVec<Addr, 2> writeback_scratch_;     ///< per-fill eviction scratch
   FlatU64Map<SmallVec<unsigned, 8>> mshr_;  ///< line -> waiting warps
-  FlatU64Map<TxnMeta> inflight_meta_;       ///< req id -> meta
-  unsigned inflight_loads_ = 0;   ///< primary load transactions in flight
-  unsigned inflight_stores_ = 0;  ///< store transactions in flight
+  unsigned inflight_loads_ = 0;       ///< primary load transactions in flight
+  unsigned inflight_stores_ = 0;      ///< store transactions in flight
+  unsigned inflight_writebacks_ = 0;  ///< L1 write-backs in flight
 
   SmStats stats_;
 };

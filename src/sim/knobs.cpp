@@ -152,7 +152,7 @@ void validate_knobs(const Config& cfg, KnobCommand command, const std::string& c
           msg += spec.name;
         }
       }
-      throw SimError(msg);
+      throw UsageError(msg);
     }
     // Force a parse so a bad value fails here, before any simulation runs.
     switch (k->type) {

@@ -154,6 +154,8 @@ void BankBase::respond(const gpu::L2Request& request, Cycle ready) {
   resp.id = request.id;
   resp.addr = request.addr;
   resp.is_store = request.is_store;
+  resp.space = request.space;
+  resp.is_writeback = request.is_writeback;
   resp.sm_id = request.sm_id;
   resp.ready = ready;
   responses_.push_back(resp);

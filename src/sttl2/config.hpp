@@ -31,7 +31,8 @@ struct FaultInjectionConfig {
 
   /// Hazard acceleration factor: multiplies the retention collapse rate so
   /// failure statistics converge in feasible simulation horizons. 1.0 is the
-  /// physical rate (per-run expectations << 1 at realistic guard bands).
+  /// physical rate, which with the default guard band still collapses ~170
+  /// lines in a C1/bfs run at scale 0.5 (fault_model.hpp, ROADMAP item 8).
   double accel = 1.0;
 
   /// SECDED-style line ECC: correct single-bit collapses (with a scrub

@@ -14,8 +14,9 @@
 // so the injected failure count converges to the analyze_reliability
 // prediction evaluated over the same lifetimes (the cross-validation test in
 // tests/test_sttl2_faults.cpp). `accel` scales the hazard so statistics
-// converge in feasible horizons; at accel=1 and realistic guard bands the
-// per-run expectation is << 1, exactly as the analytic report says.
+// converge in feasible horizons. Collapses are not rare at accel=1 either:
+// with the default 20x guard band, `sttgpu run arch=C1 benchmark=bfs
+// scale=0.5 faults=1` injects 172 against 168.5 expected (ROADMAP item 8).
 //
 // Collapse severity follows a Poisson bit-error interpretation of the line
 // hazard: with lambda = -ln(1 - P) expected collapsed bits, a collapsed line

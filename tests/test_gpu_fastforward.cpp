@@ -307,6 +307,76 @@ TEST(FastForwardEquivalence, ShortRetentionExpiryRunsArePinned) {
   }
 }
 
+TEST(FastForwardEquivalence, LocalSharedLrrAndOpenPageRunsArePinned) {
+  // No Fig. 8 kernel uses local memory (L1 write-backs), shared memory with
+  // bank conflicts (the SM's longest sleeps), texture reads, the LRR
+  // scheduler or open-page DRAM, so the golden CSV cannot see a change to
+  // any of them. This pins one kernel that uses all of them, per scheduler
+  // and page policy, under both loops.
+  struct Pin {
+    SchedulerKind scheduler;
+    bool open_page;
+    Cycle cycles;
+    std::uint64_t instructions, idle_cycles, stall_cycles, mshr_merges;
+    std::uint64_t l1d_hits, l1d_misses, l2_hits, l2_misses, dram_reads, dram_writes;
+  };
+  const Pin pins[] = {
+      {SchedulerKind::kGto, false, 60479, 51200, 35819, 144098, 32, 2666, 9849, 3316, 12332,
+       12022, 2970},
+      {SchedulerKind::kLrr, false, 58414, 51200, 9512, 166755, 20, 2203, 10323, 3359, 12762,
+       12452, 2926},
+      {SchedulerKind::kGto, true, 59420, 51200, 36403, 144557, 20, 2687, 9843, 3318, 12327,
+       12019, 2978},
+  };
+  workload::KernelSpec k;
+  k.name = "mixed";
+  k.grid_blocks = 64;  // 16 per SM through 8 slots: blocks launch mid-walk
+  k.threads_per_block = 128;
+  k.regs_per_thread = 16;
+  k.instructions_per_warp = 200;
+  k.mem_fraction = 0.5;
+  k.store_fraction = 0.3;
+  k.const_fraction = 0.05;
+  k.texture_fraction = 0.1;
+  k.shared_fraction = 0.15;
+  k.shared_conflict_avg = 32.0;
+  k.local_fraction = 0.3;
+  k.pattern.kind = workload::PatternKind::kRandom;
+  k.pattern.footprint_bytes = 1 << 20;
+  k.pattern.reuse_fraction = 0.3;
+  k.pattern.wws_lines = 32;
+  const workload::Workload w{.name = "mixed", .region = "test", .kernels = {k}, .seed = 17};
+  sttl2::UniformBankConfig bank;
+  bank.capacity_bytes = 64 * 1024;
+  for (const Pin& pin : pins) {
+    for (const bool fast_forward : {false, true}) {
+      GpuConfig cfg = small_config(fast_forward);
+      cfg.scheduler = pin.scheduler;
+      cfg.dram_open_page = pin.open_page;
+      // Few credits and MSHRs, so ready warps stall and the stalled walk runs.
+      cfg.max_outstanding_load_txn = 16;
+      cfg.max_outstanding_store_txn = 8;
+      cfg.l1_mshr_entries = 12;
+      sttl2::UniformBankFactory factory(bank, cfg.clock());
+      const RunResult run = run_with(factory, cfg, w);
+      SCOPED_TRACE(std::string(pin.scheduler == SchedulerKind::kGto ? "gto" : "lrr") +
+                   (pin.open_page ? " open-page" : " closed-page") +
+                   (fast_forward ? " fastforward=1" : " fastforward=0"));
+      EXPECT_EQ(run.cycles, pin.cycles);
+      EXPECT_EQ(run.instructions, pin.instructions);
+      EXPECT_EQ(run.sm.idle_cycles, pin.idle_cycles);
+      EXPECT_EQ(run.sm.stall_cycles, pin.stall_cycles);
+      EXPECT_EQ(run.sm.mshr_merges, pin.mshr_merges);
+      EXPECT_EQ(run.l1d_hits, pin.l1d_hits);
+      EXPECT_EQ(run.l1d_misses, pin.l1d_misses);
+      EXPECT_EQ(run.l2.read_hits + run.l2.write_hits, pin.l2_hits);
+      EXPECT_EQ(run.l2.read_misses + run.l2.write_misses, pin.l2_misses);
+      EXPECT_EQ(run.dram_reads, pin.dram_reads);
+      EXPECT_EQ(run.dram_writes, pin.dram_writes);
+    }
+  }
+}
+
 TEST(FastForwardEquivalence, WheelRejectsMoreThan64Components) {
   // The wake table's due set is one 64-bit mask over SMs + banks; a wider
   // machine is refused up front instead of silently changing loops. The

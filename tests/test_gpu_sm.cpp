@@ -5,24 +5,18 @@
 
 #include <map>
 
+#include "common/error.hpp"
 #include "gpu/sm.hpp"
 
 namespace sttgpu::gpu {
 namespace {
 
-struct SentTxn {
-  std::uint64_t id;
-  Addr addr;
-  bool is_store;
-};
-
 class SmTest : public ::testing::Test {
  protected:
   SmTest() : sm_(0, cfg_) {
-    send_ = [this](Addr addr, bool is_store) -> std::uint64_t {
-      const std::uint64_t id = next_id_++;
-      sent_.push_back({id, addr, is_store});
-      return id;
+    send_ = [this](L2Request req) {
+      req.id = next_id_++;
+      sent_.push_back(req);
     };
   }
 
@@ -49,15 +43,17 @@ class SmTest : public ::testing::Test {
                      static_cast<std::uint64_t>(k.grid_blocks) * k.warps_per_block(), 42);
   }
 
-  /// Responds to every outstanding transaction.
+  /// Responds to every outstanding transaction, echoing what a bank echoes.
   void respond_all() {
-    std::vector<SentTxn> txns;
+    std::vector<L2Request> txns;
     txns.swap(sent_);
-    for (const SentTxn& t : txns) {
+    for (const L2Request& t : txns) {
       L2Response resp;
       resp.id = t.id;
       resp.addr = t.addr;
       resp.is_store = t.is_store;
+      resp.space = t.space;
+      resp.is_writeback = t.is_writeback;
       resp.sm_id = 0;
       resp.ready = now_;
       sm_.on_response(resp, now_, send_);
@@ -71,7 +67,7 @@ class SmTest : public ::testing::Test {
   GpuConfig cfg_;
   Sm sm_;
   SendTxnFn send_;
-  std::vector<SentTxn> sent_;
+  std::vector<L2Request> sent_;
   std::uint64_t next_id_ = 1;
   Cycle now_ = 0;
 };
@@ -182,6 +178,25 @@ TEST_F(SmTest, SharedMemoryOpsNeverReachL2) {
   EXPECT_TRUE(sm_.kernel_done());
   EXPECT_TRUE(sent_.empty());  // nothing went to the memory system
   EXPECT_GT(sm_.stats().shared_accesses, 0u);
+}
+
+TEST_F(SmTest, RejectsMoreThan64ResidentWarps) {
+  // The ready set and the sleep calendar's slots are 64-bit warp masks, so
+  // a kernel keeping more warps resident is refused with a clear message.
+  workload::KernelSpec k = loads_kernel();
+  k.threads_per_block = 32 * 33;  // 33 warps per block, 66 with two resident
+  try {
+    sm_.start_kernel(k, std::deque<unsigned>{0, 1}, 2, 66, 42);
+    FAIL() << "66 resident warps accepted";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 64 resident warps"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("66 resident (2 blocks x 33 warps)"),
+              std::string::npos)
+        << e.what();
+  }
+  k.threads_per_block = 32 * 32;  // exactly 64 fit
+  EXPECT_NO_THROW(sm_.start_kernel(k, std::deque<unsigned>{0, 1}, 2, 64, 42));
 }
 
 TEST_F(SmTest, GtoPrefersTheLastIssuedWarp) {

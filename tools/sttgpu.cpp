@@ -697,6 +697,9 @@ int main(int argc, char** argv) {
   } catch (const serve::ProtocolMismatch& e) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitProtocol;
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return kExitUsage;
   } catch (const Cancelled& c) {
     // Artifacts (cache, telemetry, JSON) were finalized before the unwind;
     // the exit code tells scripts whether this is resumable (3 = user
