@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale"});
   const double scale = cfg.get_double("scale", 0.4);
   const unsigned sizes[] = {1, 2, 5, 10, 20};
   const char* benchmarks[] = {"bfs", "kmeans", "histo", "mri-g", "backprop"};

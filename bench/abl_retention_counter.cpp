@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale"});
   const double scale = cfg.get_double("scale", 0.4);
   const unsigned bits[] = {2, 3, 4, 6};
   const char* benchmarks[] = {"bfs", "kmeans", "tpacf", "hotspot", "nw"};

@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale", "jobs"});
   const double scale = cfg.get_double("scale", 0.4);
   const unsigned jobs = sim::resolve_jobs(cfg.get_int("jobs", 0));
   const char* benchmarks[] = {"bfs", "kmeans", "lbm", "tpacf", "stencil", "nw"};

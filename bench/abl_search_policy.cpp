@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale"});
   const double scale = cfg.get_double("scale", 0.4);
 
   std::cout << "Ablation: cache-search policy on C1\n\n";

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale"});
   const double scale = cfg.get_double("scale", 0.5);
 
   std::cout << "Figure 3: inter/intra-set write variation (COV) on the SRAM baseline\n\n";

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale"});
   const double scale = cfg.get_double("scale", 0.4);
   // 0 means fully associative in TwoPartBankConfig.
   const unsigned assocs[] = {1, 2, 4, 8, 16, 0};

@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale", "cache", "jobs"});
   const double scale = cfg.get_double("scale", 0.5);
   const std::string cache = cfg.get_string("cache", "fig8_cache.csv");
   const unsigned jobs = sim::resolve_jobs(cfg.get_int("jobs", 0));

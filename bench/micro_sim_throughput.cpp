@@ -100,7 +100,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"scale", "reps", "json"});
   const double scale = cfg.get_double("scale", 1.0);
   const unsigned reps = static_cast<unsigned>(cfg.get_int("reps", 3));
   const std::string json_path = cfg.get_string("json", "BENCH_sim_throughput.json");

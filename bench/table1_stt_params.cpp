@@ -8,12 +8,14 @@
 // why the absolute digits of the source table had to be reconstructed.
 #include <iostream>
 
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "nvm/cell.hpp"
 #include "nvm/mtj.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sttgpu;
+  (void)Config::from_args(argc, argv, {});  // no knobs: any argument is an error
 
   std::cout << "Table 1: STT-RAM parameters for different data retention times\n\n";
 

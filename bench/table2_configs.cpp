@@ -4,11 +4,13 @@
 // register-file capacity for C2/C3.
 #include <iostream>
 
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/arch.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sttgpu;
+  (void)Config::from_args(argc, argv, {});  // no knobs: any argument is an error
 
   const gpu::GpuConfig base;
   std::cout << "Table 2: simulated configurations (GTX480-class baseline GPU)\n\n"

@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"blocks", "store_fraction", "wws_lines"});
 
   // --- 1. describe the kernel ---
   workload::KernelSpec kernel;

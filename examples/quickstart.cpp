@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace sttgpu;
 
-  const Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv, {"benchmark", "scale"});
   const std::string benchmark = cfg.get_string("benchmark", "bfs");
   const double scale = cfg.get_double("scale", 0.3);
 

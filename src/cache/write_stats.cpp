@@ -1,7 +1,5 @@
 #include "cache/write_stats.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
@@ -48,11 +46,6 @@ double WriteVariationTracker::intra_set_cov() const {
     covs.add(coefficient_of_variation(per_way));
   }
   return covs.count() ? covs.mean() : 0.0;
-}
-
-void WriteVariationTracker::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
 }
 
 }  // namespace sttgpu::cache

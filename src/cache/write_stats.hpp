@@ -34,8 +34,6 @@ class WriteVariationTracker {
   std::uint64_t sets() const noexcept { return sets_; }
   unsigned ways() const noexcept { return ways_; }
 
-  void reset();
-
  private:
   std::uint64_t sets_;
   unsigned ways_;

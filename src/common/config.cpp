@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -14,6 +15,18 @@ Config Config::from_args(int argc, const char* const* argv) {
     STTGPU_REQUIRE(eq != std::string::npos && eq > 0,
                    "expected key=value argument, got: " + token);
     cfg.set(token.substr(0, eq), token.substr(eq + 1));
+  }
+  return cfg;
+}
+
+Config Config::from_args(int argc, const char* const* argv,
+                         std::initializer_list<std::string_view> valid) {
+  Config cfg = from_args(argc, argv);
+  for (const auto& [key, value] : cfg.values_) {
+    if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
+    std::string msg = "unknown knob '" + key + "'; valid knobs:";
+    for (const std::string_view v : valid) (msg += ' ') += v;
+    throw UsageError(valid.size() == 0 ? msg + " none" : msg);
   }
   return cfg;
 }

@@ -5,9 +5,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sttgpu {
@@ -16,8 +18,16 @@ class Config {
  public:
   Config() = default;
 
-  /// Parses argv-style "key=value" tokens; unknown tokens throw SimError.
+  /// Parses argv-style "key=value" tokens; a token of another shape throws
+  /// SimError. Any key is accepted: `sttgpu` checks its keys against its
+  /// knob registry.
   static Config from_args(int argc, const char* const* argv);
+
+  /// As above, and throws UsageError naming the @p valid keys if a token's
+  /// key is not one of them, so a misspelled knob fails instead of running
+  /// at its default. Benches and examples pass the keys their main reads.
+  static Config from_args(int argc, const char* const* argv,
+                          std::initializer_list<std::string_view> valid);
 
   void set(const std::string& key, const std::string& value) { values_[key] = value; }
 

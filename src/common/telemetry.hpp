@@ -5,7 +5,7 @@
 //   * counter tracks — cumulative event counts (instructions, hits, reads,
 //     migrations, refreshes...). Exports report per-interval increments.
 //   * gauge tracks   — instantaneous values (occupancy, buffer depth,
-//     current migration threshold, queue fill).
+//     queue fill).
 // Outside frames, components may add duration slices (kernels, refresh
 // storms) and instant markers (fault data loss) to the timeline.
 //

@@ -1,7 +1,5 @@
 #include "sim/probe.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "sttl2/factories.hpp"
 #include "sttl2/two_part_bank.hpp"
@@ -32,11 +30,10 @@ TwoPartProbe run_two_part(const std::string& benchmark,
   probe.metrics = metrics_of("two-part", benchmark, r);
   probe.counters = r.l2_counters;
 
-  // Merge the per-bank histograms and wear statistics.
+  // Merge the per-bank histograms.
   std::vector<std::uint64_t> lr_buckets;
   std::vector<double> lr_edges;
   std::uint64_t hr_within = 0;
-  StreamStats wear_inter, wear_intra;
   for (unsigned b = 0; b < g.num_banks(); ++b) {
     const auto* bank = dynamic_cast<const sttl2::TwoPartBank*>(&g.bank(b));
     STTGPU_ASSERT(bank != nullptr);
@@ -54,24 +51,7 @@ TwoPartProbe run_two_part(const std::string& benchmark,
     probe.hr_intervals += hr.total();
     // Buckets 0..2 of the HR tracker are <=1ms, <=10ms, <=40ms.
     for (std::size_t i = 0; i < 3 && i < hr.bucket_count(); ++i) hr_within += hr.bucket(i);
-
-    wear_inter.add(bank->lr_wear().inter_set_cov());
-    wear_intra.add(bank->lr_wear().intra_set_cov());
-    const auto& lw = bank->lr_wear();
-    for (std::uint64_t s = 0; s < lw.sets(); ++s) {
-      for (unsigned w = 0; w < lw.ways(); ++w) {
-        probe.lr_wear_max_line = std::max(probe.lr_wear_max_line, lw.way_writes(s, w));
-      }
-    }
-    const auto& hw = bank->hr_wear();
-    for (std::uint64_t s = 0; s < hw.sets(); ++s) {
-      for (unsigned w = 0; w < hw.ways(); ++w) {
-        probe.hr_wear_max_line = std::max(probe.hr_wear_max_line, hw.way_writes(s, w));
-      }
-    }
   }
-  probe.lr_wear_inter_cov = wear_inter.mean();
-  probe.lr_wear_intra_cov = wear_intra.mean();
   if (!lr_edges.empty()) {
     Histogram merged(lr_edges);
     for (std::size_t i = 0; i < lr_buckets.size() && lr_buckets[i] + 1 != 0; ++i) {

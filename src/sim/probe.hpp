@@ -31,13 +31,6 @@ struct TwoPartProbe {
 
   /// Fraction of demand stores whose data ended in the LR part.
   double lr_write_utilization = 0.0;
-
-  // Endurance view (merged across banks): write-variation COV of the
-  // physical writes each part's cells absorb, and the hottest-line counts.
-  double lr_wear_inter_cov = 0.0;
-  double lr_wear_intra_cov = 0.0;
-  std::uint64_t lr_wear_max_line = 0;  ///< writes into the most-worn LR line
-  std::uint64_t hr_wear_max_line = 0;
 };
 
 /// Runs @p benchmark on a GPU with @p bank_cfg two-part banks. @p gpu_cfg

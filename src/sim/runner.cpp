@@ -160,22 +160,24 @@ std::string compute_config_serialization() {
        << g.num_l2_banks << ':' << g.l2_line_bytes << ':' << g.l2_input_queue << ':'
        << g.dram_latency << ':' << g.dram_service_gap << ':' << g.dram_open_page << ':'
        << g.dram_row_bytes << ':' << g.dram_row_hit_latency;
+    // The literal 0s stand where the retired adaptive-threshold,
+    // early-write-termination and wear-leveling switches were printed (they
+    // were always off), so every store keyed by the fingerprint stays valid.
     if (s.two_part) {
       const sttl2::TwoPartBankConfig& c = s.two_part_cfg;
       os << ":tp:" << c.hr_bytes << ':' << c.hr_assoc << ':' << c.hr_retention_s << ':'
          << c.hr_counter_bits << ':' << c.lr_bytes << ':' << c.lr_assoc << ':'
          << c.lr_retention_s << ':' << c.lr_counter_bits << ':' << c.line_bytes << ':'
-         << c.write_threshold << ':' << c.adaptive_threshold << ':'
-         << c.early_write_termination << ':' << c.lr_wear_leveling << ':' << c.buffer_lines
-         << ':' << static_cast<int>(c.search) << ':' << c.pipeline_cycles << ':'
-         << c.hr_subbanks << ':' << c.lr_subbanks;
+         << c.write_threshold << ":0:0:0:" << c.buffer_lines << ':'
+         << static_cast<int>(c.search) << ':' << c.pipeline_cycles << ':' << c.hr_subbanks
+         << ':' << c.lr_subbanks;
     } else {
       const sttl2::UniformBankConfig& c = s.uniform;
       os << ":un:" << c.capacity_bytes << ':' << c.associativity << ':' << c.line_bytes
          << ':' << c.cell.name << ':' << c.cell.read_energy_pj_per_bit << ':'
          << c.cell.write_energy_pj_per_bit << ':' << c.cell.read_latency_ns << ':'
-         << c.cell.write_latency_ns << ':' << c.cell.leakage_nw_per_bit << ':'
-         << c.early_write_termination << ':' << c.pipeline_cycles << ':' << c.subbanks;
+         << c.cell.write_latency_ns << ':' << c.cell.leakage_nw_per_bit << ":0:"
+         << c.pipeline_cycles << ':' << c.subbanks;
     }
   }
   for (const std::string& name : workload::benchmark_names()) {

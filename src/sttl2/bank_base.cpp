@@ -15,14 +15,7 @@ struct ReadyLater {
 };
 }  // namespace
 
-double write_energy_scale(bool ewt, double flip_fraction) {
-  if (!ewt) return 1.0;
-  STTGPU_REQUIRE(flip_fraction > 0.0 && flip_fraction <= 1.0,
-                 "L2 bank: ewt_flip_fraction must be in (0, 1]");
-  return flip_fraction;
-}
-
-Part::Part(const power::ArraySpec& spec, unsigned subbanks, double ewt_scale,
+Part::Part(const power::ArraySpec& spec, unsigned subbanks,
            const FaultInjectionConfig& fault_config, std::uint64_t fault_salt,
            const Clock& clock, power::EnergyLedger& ledger, const std::string& prefix)
     : costs(power::evaluate_array(spec)),
@@ -32,7 +25,6 @@ Part::Part(const power::ArraySpec& spec, unsigned subbanks, double ewt_scale,
       tag_lat(clock.cycles_for_ns(costs.tag_latency_ns)),
       read_occ(clock.cycles_for_ns(costs.data_read_latency_ns)),
       write_occ(clock.cycles_for_ns(costs.data_write_latency_ns)),
-      write_pj(costs.data_write_pj * ewt_scale),
       e{ledger.intern(prefix + "tag_probe"), ledger.intern(prefix + "tag_update"),
         ledger.intern(prefix + "data_read"), ledger.intern(prefix + "data_write")} {}
 
@@ -205,7 +197,7 @@ BankBase::Decay BankBase::check_hit(Part& p, Addr key, unsigned way, Cycle reten
   const Decay d = sample_decay(p, line, retention_cycles, now);
   if (d == Decay::kCorrected) {
     p.data.occupy(key, now, p.write_occ);
-    energy_.add(fault_ids_.scrub, p.write_pj);
+    energy_.add(fault_ids_.scrub, p.costs.data_write_pj);
   } else if (d == Decay::kLost) {
     p.tags.invalidate(key, way);
   }
@@ -218,13 +210,13 @@ Cycle BankBase::write_verify(Part& p, Addr key, Cycle done, power::EnergyId cate
   counters_.at(fault_ids_.wv_retries) += wv.retries;
   for (unsigned i = 0; i < wv.retries; ++i) {
     done = p.data.occupy(key, done, p.write_occ);
-    energy_.add(category, p.write_pj);
+    energy_.add(category, p.costs.data_write_pj);
   }
   if (wv.escalated) {
     // Boosted pulse: twice the energy and pulse width, always sticks.
     counters_.at(fault_ids_.wv_escalations) += 1;
     done = p.data.occupy(key, done, 2 * p.write_occ);
-    energy_.add(category, 2.0 * p.write_pj);
+    energy_.add(category, 2.0 * p.costs.data_write_pj);
   }
   return done;
 }

@@ -72,10 +72,6 @@ class SubbankedServer {
   std::vector<ArrayServer> servers_;
 };
 
-/// Write-energy factor of early write termination: @p flip_fraction when
-/// @p ewt is on (it must lie in (0, 1]), else 1.
-double write_energy_scale(bool ewt, double flip_fraction);
-
 /// One data array built from one ArraySpec: its costs, tags, subbanked
 /// ports and fault stream, its latencies in cycles, and its energy
 /// categories "<prefix>{tag_probe,tag_update,data_read,data_write}". The
@@ -83,7 +79,7 @@ double write_energy_scale(bool ewt, double flip_fraction);
 struct Part {
   /// @p fault_salt decorrelates this array's fault stream from every other
   /// (bank, part) stream; the cell's retention time drives its hazard.
-  Part(const power::ArraySpec& spec, unsigned subbanks, double ewt_scale,
+  Part(const power::ArraySpec& spec, unsigned subbanks,
        const FaultInjectionConfig& fault_config, std::uint64_t fault_salt,
        const Clock& clock, power::EnergyLedger& ledger, const std::string& prefix);
 
@@ -92,7 +88,6 @@ struct Part {
   SubbankedServer data;
   FaultModel faults;  ///< inert for SRAM cells or when injection is off
   Cycle tag_lat, read_occ, write_occ;
-  PicoJoule write_pj;  ///< one line-write pulse, scaled by early write termination
   struct EnergyIds {
     power::EnergyId tag_probe, tag_update, data_read, data_write;
   } e;
@@ -138,31 +133,30 @@ class BankBase : public gpu::L2Bank {
   /// A previously requested DRAM line arrived.
   virtual void process_fill(Addr line_addr, Cycle now) = 0;
 
-  /// Deadline housekeeping (refresh, expiry, threshold adaptation, wear
-  /// rotation). Called from tick() only when the cached implementation
-  /// deadline (see sched_impl_event) has matured — a call with every
-  /// deadline in the future must be a no-op, which is exactly the
-  /// impl_next_event() contract the event-driven fast-forward already
-  /// relies on.
+  /// Deadline housekeeping (refresh, expiry). Called from tick() only when
+  /// the cached implementation deadline (see sched_impl_event) has matured
+  /// — a call with every deadline in the future must be a no-op, which is
+  /// exactly the impl_next_event() contract the event-driven fast-forward
+  /// already relies on.
   virtual void maintenance(Cycle /*now*/) {}
 
   /// Implementation has in-flight work beyond the shared queues.
   virtual bool impl_idle() const { return true; }
 
   /// Earliest absolute cycle of an implementation-scheduled deadline
-  /// (refresh due, retention expiry, threshold adaptation); kNoCycle when
-  /// none. Conservative (early) values are safe — the tick is then a no-op,
-  /// exactly as it would be in a cycle-by-cycle loop. Called by the base
-  /// only right after maintenance() ran, to refresh the cached deadline;
-  /// between maintenance calls implementations must announce any new or
-  /// earlier deadline through sched_impl_event().
+  /// (refresh due, retention expiry); kNoCycle when none. Conservative
+  /// (early) values are safe — the tick is then a no-op, exactly as it
+  /// would be in a cycle-by-cycle loop. Called by the base only right after
+  /// maintenance() ran, to refresh the cached deadline; between maintenance
+  /// calls implementations must announce any new or earlier deadline
+  /// through sched_impl_event().
   virtual Cycle impl_next_event() const { return kNoCycle; }
 
   /// Announces an implementation deadline at @p when: lowers the cached
   /// deadline that gates maintenance() (and feeds next_event_cycle()).
   /// Stale-low values are safe (one extra no-op maintenance call); every
-  /// site that schedules a deadline — queue push, rotation trigger — must
-  /// call this, or the deadline could be skipped entirely.
+  /// site that pushes a deadline onto a queue must call this, or the
+  /// deadline could be skipped entirely.
   void sched_impl_event(Cycle when) noexcept {
     if (when < maint_next_) maint_next_ = when;
   }

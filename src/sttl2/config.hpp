@@ -61,10 +61,6 @@ struct UniformBankConfig {
   unsigned associativity = 8;
   unsigned line_bytes = 256;
   nvm::CellParams cell = nvm::sram_cell();
-  /// Early write termination (see TwoPartBankConfig): scales write energy
-  /// by ewt_flip_fraction when enabled.
-  bool early_write_termination = false;
-  double ewt_flip_fraction = 0.35;
   /// Extra response latency of the bank pipeline (queues, ECC, controller).
   unsigned pipeline_cycles = 16;
   unsigned input_queue = 32;
@@ -94,28 +90,6 @@ struct TwoPartBankConfig {
   /// migrate the line to LR. 1 == the conventional modified bit (the paper's
   /// TH1, shown optimal in Fig. 4).
   unsigned write_threshold = 1;
-
-  /// Extension (beyond the paper): adapt the write threshold at runtime.
-  /// Every adapt_interval cycles the bank inspects its LR churn (evictions
-  /// per migration): heavy churn means the WWS exceeds the LR capacity, so
-  /// the monitor becomes pickier (threshold up, toward max_threshold); calm
-  /// intervals relax it back toward write_threshold.
-  bool adaptive_threshold = false;
-  unsigned adapt_interval = 8192;
-  unsigned max_threshold = 8;
-
-  /// Extension (i2WAP-flavoured, the paper's ref [15]): periodically rotate
-  /// the LR set mapping to level inter-set write wear. A rotation flushes
-  /// the LR part back to HR (through the normal eviction path, so the cost
-  /// is modelled) and shifts the index by one set.
-  bool lr_wear_leveling = false;
-  std::uint64_t wear_level_period = 100000;  ///< LR writes between rotations
-
-  /// Extension: early write termination (Zhou et al., ICCAD'09 — the
-  /// paper's ref [17]): bit-writes matching the stored value abort early,
-  /// scaling write energy by the expected flipped-bit fraction.
-  bool early_write_termination = false;
-  double ewt_flip_fraction = 0.35;
 
   /// Capacity of each swap buffer (HR->LR and LR->HR), in cache lines.
   unsigned buffer_lines = 10;

@@ -19,17 +19,13 @@ TwoPartBank::TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config,
            .line_bytes = config.line_bytes,
            .data_cell = nvm::stt_cell_for_retention(config.lr_retention_s),
            .extra_tag_bits_per_line = config.lr_counter_bits},
-          config.lr_subbanks,
-          write_energy_scale(config.early_write_termination, config.ewt_flip_fraction),
-          config.faults, bank_id * 2ull, clock, ledger(), "l2.lr."),
+          config.lr_subbanks, config.faults, bank_id * 2ull, clock, ledger(), "l2.lr."),
       hr_({.capacity_bytes = config.hr_bytes,
            .associativity = config.hr_assoc,
            .line_bytes = config.line_bytes,
            .data_cell = nvm::stt_cell_for_retention(config.hr_retention_s),
            .extra_tag_bits_per_line = config.hr_counter_bits},  // RC; WC is the dirty bit
-          config.hr_subbanks,
-          write_energy_scale(config.early_write_termination, config.ewt_flip_fraction),
-          config.faults, bank_id * 2ull + 1, clock, ledger(), "l2.hr."),
+          config.hr_subbanks, config.faults, bank_id * 2ull + 1, clock, ledger(), "l2.hr."),
       hr_retention_(config.hr_retention_s, config.hr_counter_bits, clock),
       lr_retention_(config.lr_retention_s, config.lr_counter_bits, clock),
       hr2lr_(config.buffer_lines),
@@ -37,17 +33,13 @@ TwoPartBank::TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config,
       refresh_q_(lr_.tags.geometry().num_sets(), lr_.tags.geometry().associativity()),
       hr_expiry_q_(hr_.tags.geometry().num_sets(), hr_.tags.geometry().associativity()),
       lr_rewrites_(clock),
-      hr_rewrites_(clock, {ms_to_ns(1.0), ms_to_ns(10.0), ms_to_ns(40.0), ms_to_ns(100.0)}),
-      lr_wear_(lr_.tags.geometry().num_sets(), lr_.tags.geometry().associativity()),
-      hr_wear_(hr_.tags.geometry().num_sets(), hr_.tags.geometry().associativity()),
-      threshold_(config.write_threshold) {
+      hr_rewrites_(clock, {ms_to_ns(1.0), ms_to_ns(10.0), ms_to_ns(40.0), ms_to_ns(100.0)}) {
   STTGPU_REQUIRE(config.lr_retention_s < config.hr_retention_s,
                  "TwoPartBank: LR retention must be below HR retention");
   // Swap-buffer entries are small SRAM: one line read in + one read out.
   const auto sram = nvm::sram_cell();
   buffer_entry_pj_ = config.line_bytes * 8.0 *
                      (sram.read_energy_pj_per_bit + sram.write_energy_pj_per_bit);
-  next_adapt_ = config_.adapt_interval;
 
   // Intern every category/counter this bank will ever charge: per-access
   // sites below use the dense handles only.
@@ -75,48 +67,19 @@ TwoPartBank::TwoPartBank(unsigned bank_id, const TwoPartBankConfig& config,
   c_.refresh_forced_drop = cs.intern("refresh_forced_drop");
   c_.hr_expired_dirty = cs.intern("hr_expired_dirty");
   c_.hr_expired_clean = cs.intern("hr_expired_clean");
-  c_.wear_rotations = cs.intern("wear_rotations");
-  c_.threshold_up = cs.intern("threshold_up");
-  c_.threshold_down = cs.intern("threshold_down");
   if (config_.faults.enabled) intern_fault_ids();
   init_impl_deadline();
 }
 
 Cycle TwoPartBank::impl_next_event() const {
-  // A pending wear rotation fires on the very next maintenance() call, so
-  // the bank must keep ticking until it runs: reporting a later event here
-  // would let the event-driven loop skip this bank's ticks (or fast-forward)
-  // and delay the rotation, shifting every result after it.
-  if (config_.lr_wear_leveling && lr_writes_since_rotation_ >= config_.wear_level_period) {
-    return 0;
-  }
-  Cycle next = std::min(refresh_q_.next(), hr_expiry_q_.next());
-  // The adaptation deadline must be an event even with nothing else going
-  // on: adapt_threshold() reschedules relative to the cycle it runs at, so
-  // firing late would shift every later interval.
-  if (config_.adaptive_threshold && next_adapt_ < next) next = next_adapt_;
-  return next;
+  return std::min(refresh_q_.next(), hr_expiry_q_.next());
 }
 
 Cycle TwoPartBank::data_write(Part& p, Addr key, Cycle now) {
-  const bool lr = &p == &lr_;
   const Cycle done = p.data.occupy(key, now, p.write_occ);
-  if (lr) {
-    ++lr_writes_since_rotation_;
-    // Crossing the wear-level period arms a rotation that must run on the
-    // very next maintenance() call (impl_next_event reports 0 for it);
-    // announce the deadline so the maintenance gate opens this tick, as it
-    // would ungated.
-    if (config_.lr_wear_leveling && lr_writes_since_rotation_ >= config_.wear_level_period) {
-      sched_impl_event(0);
-    }
-  }
-  ledger().add(p.e.data_write, p.write_pj);
+  ledger().add(p.e.data_write, p.costs.data_write_pj);
   ledger().add(p.e.tag_update, p.costs.tag_update_pj);
-  mutable_counters().at(lr ? c_.lr_phys_writes : c_.hr_phys_writes) += 1;
-  if (const auto way = p.tags.probe(key)) {
-    (lr ? lr_wear_ : hr_wear_).record_write(p.tags.geometry().set_index(key), *way);
-  }
+  mutable_counters().at(&p == &lr_ ? c_.lr_phys_writes : c_.hr_phys_writes) += 1;
   return write_verify(p, key, done, p.e.data_write);
 }
 
@@ -137,15 +100,6 @@ bool TwoPartBank::fault_read_check(bool lr_part, Addr key, unsigned way, Cycle n
     deadlines.erase(set, way);
   }
   return d == Decay::kLost;
-}
-
-double TwoPartBank::lr_write_utilization() const noexcept {
-  const std::uint64_t demand = counters().get("w_demand");
-  if (demand == 0) return 0.0;
-  // Direct LR write hits only: a migration means the previous write working
-  // set placement failed to keep the block resident in LR, so the paper's
-  // "write utilization of the LR part" penalizes it.
-  return static_cast<double>(counters().get("w_lr_hit")) / static_cast<double>(demand);
 }
 
 void TwoPartBank::process_request(const gpu::L2Request& request, Cycle now) {
@@ -169,11 +123,10 @@ void TwoPartBank::service(const gpu::L2Request& request, Cycle now, bool replay)
   bool in_lr = false, in_hr = false;
   std::optional<unsigned> way;
   Cycle search_lat = 0;
-  const Addr lr_key = to_lr(line_addr);
   const auto probe_lr = [&] {
     mutable_counters().at(c_.tag_probes_lr) += 1;
     ledger().add(lr_.e.tag_probe, lr_.costs.tag_probe_pj);
-    way = lr_.tags.probe(lr_key);
+    way = lr_.tags.probe(line_addr);
     in_lr = way.has_value();
   };
   const auto probe_hr = [&] {
@@ -212,7 +165,7 @@ void TwoPartBank::service(const gpu::L2Request& request, Cycle now, bool replay)
   // interval is evaluated here. An unrecoverable collapse invalidates the
   // line and the access falls through to the miss path — the transparent
   // re-fetch from DRAM. (No-op when faults are disabled.)
-  if (in_lr && fault_read_check(/*lr_part=*/true, lr_key, *way, now)) {
+  if (in_lr && fault_read_check(/*lr_part=*/true, line_addr, *way, now)) {
     in_lr = false;
     way.reset();
   } else if (in_hr && fault_read_check(/*lr_part=*/false, line_addr, *way, now)) {
@@ -226,7 +179,7 @@ void TwoPartBank::service(const gpu::L2Request& request, Cycle now, bool replay)
     if (!replay) mutable_counters().at(c_.w_demand) += 1;
     if (in_lr) {
       if (!replay) ++s.write_hits;
-      const Cycle done = lr_write_hit(lr_key, *way, start);
+      const Cycle done = lr_write_hit(line_addr, *way, start);
       respond(request, done + config_.pipeline_cycles);
       return;
     }
@@ -245,19 +198,18 @@ void TwoPartBank::service(const gpu::L2Request& request, Cycle now, bool replay)
   if (in_hr || in_lr) {
     if (!replay) ++s.read_hits;
     Part& p = in_hr ? hr_ : lr_;
-    const Addr key = in_hr ? line_addr : lr_key;
-    p.tags.touch(key, *way);
-    respond(request, read_out(p, key, start) + config_.pipeline_cycles);
+    p.tags.touch(line_addr, *way);
+    respond(request, read_out(p, line_addr, start) + config_.pipeline_cycles);
     return;
   }
   if (!replay) ++s.read_misses;
   request_fill(line_addr, request, now);
 }
 
-Cycle TwoPartBank::lr_write_hit(Addr lr_key, unsigned way, Cycle start) {
-  const std::uint64_t set = lr_.tags.geometry().set_index(lr_key);
+Cycle TwoPartBank::lr_write_hit(Addr line_addr, unsigned way, Cycle start) {
+  const std::uint64_t set = lr_.tags.geometry().set_index(line_addr);
   cache::LineMeta& line = lr_.tags.line(set, way);
-  lr_.tags.touch(lr_key, way);
+  lr_.tags.touch(line_addr, way);
   lr_rewrites_.record(line.last_write_cycle, start);
   line.dirty = true;
   line.write_count += 1;
@@ -267,7 +219,7 @@ Cycle TwoPartBank::lr_write_hit(Addr lr_key, unsigned way, Cycle start) {
   refresh_q_.set(set, way, refresh_due);
   sched_impl_event(refresh_due);
 
-  const Cycle done = data_write(lr_, lr_key, start);
+  const Cycle done = data_write(lr_, line_addr, start);
   mutable_counters().at(c_.w_lr) += 1;
   mutable_counters().at(c_.w_lr_hit) += 1;  // served directly by an LR hit
   return done;
@@ -278,10 +230,9 @@ Cycle TwoPartBank::hr_write_hit(Addr line_addr, unsigned way, Cycle start) {
   cache::LineMeta& line = hr_.tags.line(set, way);
   hr_rewrites_.record(line.last_write_cycle, start);
 
-  if (line.write_count >= threshold_ && !hr2lr_.full(start)) {
+  if (line.write_count >= config_.write_threshold && !hr2lr_.full(start)) {
     // WWS monitor fired: migrate this block to LR and perform the write there.
     mutable_counters().at(c_.migrations) += 1;
-    ++interval_migrations_;
     const std::uint32_t wc = line.write_count + 1;
     read_out(hr_, line_addr, start);  // read the block out of HR
     ledger().add(hr_.e.tag_update, hr_.costs.tag_update_pj);
@@ -294,7 +245,9 @@ Cycle TwoPartBank::hr_write_hit(Addr line_addr, unsigned way, Cycle start) {
     return done;
   }
 
-  if (line.write_count >= threshold_) mutable_counters().at(c_.migrations_blocked) += 1;
+  if (line.write_count >= config_.write_threshold) {
+    mutable_counters().at(c_.migrations_blocked) += 1;
+  }
 
   hr_.tags.touch(line_addr, way);
   line.dirty = true;
@@ -311,12 +264,11 @@ Cycle TwoPartBank::hr_write_hit(Addr line_addr, unsigned way, Cycle start) {
 
 Cycle TwoPartBank::lr_install(Addr addr, bool dirty, std::uint32_t write_count,
                               Cycle last_write, Cycle now) {
-  const Addr key = to_lr(addr);
-  const unsigned way = lr_.tags.pick_victim(key);
-  const std::uint64_t set = lr_.tags.geometry().set_index(key);
+  const unsigned way = lr_.tags.pick_victim(addr);
+  const std::uint64_t set = lr_.tags.geometry().set_index(addr);
   if (lr_.tags.valid(set, way)) lr_evict(set, way, now);
 
-  cache::LineMeta& line = lr_.tags.fill(key, way, now);
+  cache::LineMeta& line = lr_.tags.fill(addr, way, now);
   line.dirty = dirty;
   line.write_count = write_count;
   line.last_write_cycle = last_write;
@@ -325,22 +277,20 @@ Cycle TwoPartBank::lr_install(Addr addr, bool dirty, std::uint32_t write_count,
   refresh_q_.set(set, way, refresh_due);
   sched_impl_event(refresh_due);
 
-  const Cycle done = data_write(lr_, key, now);
+  const Cycle done = data_write(lr_, addr, now);
   mutable_counters().at(c_.w_lr) += 1;
   return done;
 }
 
 void TwoPartBank::lr_evict(std::uint64_t set, unsigned way, Cycle now) {
   const cache::LineMeta old = lr_.tags.line(set, way);
-  const Addr key = lr_.tags.addr_of(set, way);
-  const Addr addr = from_lr(key);  // back to true address space
+  const Addr addr = lr_.tags.addr_of(set, way);
   mutable_counters().at(c_.lr_evictions) += 1;
-  ++interval_evictions_;
 
-  read_out(lr_, key, now);  // read the block out of LR
+  read_out(lr_, addr, now);  // read the block out of LR
   const bool intact =
       carries(lr_, lr_.tags.line(set, way), lr_retention_.retention_cycles(), now);
-  lr_.tags.invalidate(key, way);
+  lr_.tags.invalidate(addr, way);
   refresh_q_.erase(set, way);
   if (!intact) return;  // collapsed in LR: nothing usable to carry
 
@@ -350,7 +300,7 @@ void TwoPartBank::lr_evict(std::uint64_t set, unsigned way, Cycle now) {
     // restarts here. With TH1 the monitor is the modified bit, which a
     // dirty block naturally carries back into HR (the paper's free WWS
     // monitor); higher thresholds make returning blocks re-earn migration.
-    const std::uint32_t wc = (threshold_ == 1 && old.dirty) ? 1 : 0;
+    const std::uint32_t wc = (config_.write_threshold == 1 && old.dirty) ? 1 : 0;
     const Cycle done = hr_install(addr, old.dirty, wc, now);
     lr2hr_.add(done);
     return;
@@ -400,46 +350,6 @@ void TwoPartBank::process_fill(Addr line_addr, Cycle now) {
 void TwoPartBank::maintenance(Cycle now) {
   do_refresh(now);
   do_hr_expiry(now);
-  if (config_.adaptive_threshold) adapt_threshold(now);
-  if (config_.lr_wear_leveling && lr_writes_since_rotation_ >= config_.wear_level_period) {
-    rotate_lr_mapping(now);
-  }
-}
-
-void TwoPartBank::rotate_lr_mapping(Cycle now) {
-  // Flush the LR part back to HR through the normal eviction path (the
-  // swap buffer and write costs are charged as usual), then shift the
-  // index mapping by one set so hot lines land on fresh cells.
-  const cache::CacheGeometry& g = lr_.tags.geometry();
-  for (std::uint64_t set = 0; set < g.num_sets(); ++set) {
-    for (unsigned way = 0; way < g.associativity(); ++way) {
-      if (lr_.tags.valid(set, way)) lr_evict(set, way, now);
-    }
-  }
-  lr_offset_ = (lr_offset_ + 1) % g.num_sets();
-  lr_writes_since_rotation_ = 0;
-  mutable_counters().at(c_.wear_rotations) += 1;
-}
-
-void TwoPartBank::adapt_threshold(Cycle now) {
-  if (now < next_adapt_) return;
-  next_adapt_ = now + config_.adapt_interval;
-  // Churn = LR evictions per migration over the last interval. High churn
-  // means migrated blocks bounce straight back out: the LR is oversubscribed
-  // and the monitor should demand more rewrites before migrating.
-  if (interval_migrations_ >= 8) {
-    const double churn = static_cast<double>(interval_evictions_) /
-                         static_cast<double>(interval_migrations_);
-    if (churn > 0.5 && threshold_ < config_.max_threshold) {
-      ++threshold_;
-      mutable_counters().at(c_.threshold_up) += 1;
-    } else if (churn < 0.25 && threshold_ > config_.write_threshold) {
-      --threshold_;
-      mutable_counters().at(c_.threshold_down) += 1;
-    }
-  }
-  interval_migrations_ = 0;
-  interval_evictions_ = 0;
 }
 
 void TwoPartBank::do_refresh(Cycle now) {
@@ -450,7 +360,7 @@ void TwoPartBank::do_refresh(Cycle now) {
   while (refresh_q_.next() <= now) {
     const DeadlineIndex::Slot e = refresh_q_.pop_front();
     cache::LineMeta& line = lr_.tags.line(e.set, e.way);
-    const Addr key = lr_.tags.addr_of(e.set, e.way);
+    const Addr addr = lr_.tags.addr_of(e.set, e.way);
     ++storm_lines;
 
     // Refresh-as-scrub: the refresh read passes through the ECC check, so a
@@ -458,33 +368,32 @@ void TwoPartBank::do_refresh(Cycle now) {
     // than refreshed into a "fresh" corrupt line. Correctable collapses are
     // repaired by the rewrite below; unrecoverable ones drop the line.
     if (!carries(lr_, line, lr_retention_.retention_cycles(), now)) {
-      lr_.tags.invalidate(key, e.way);
+      lr_.tags.invalidate(addr, e.way);
       continue;
     }
 
     if (!lr2hr_.full(now)) {
       // In-place refresh staged through the LR->HR buffer: read + rewrite.
-      lr_.data.occupy(key, now, lr_.read_occ);
-      Cycle done = lr_.data.occupy(key, now, lr_.write_occ);
-      ledger().add(e_.lr_refresh, lr_.costs.data_read_pj + lr_.write_pj);
+      lr_.data.occupy(addr, now, lr_.read_occ);
+      Cycle done = lr_.data.occupy(addr, now, lr_.write_occ);
+      ledger().add(e_.lr_refresh, lr_.costs.data_read_pj + lr_.costs.data_write_pj);
       mutable_counters().at(c_.refreshes) += 1;
       mutable_counters().at(c_.lr_phys_writes) += 1;
-      lr_wear_.record_write(e.set, e.way);
       line.retention_deadline = lr_retention_.deadline(now);
       refresh_q_.set(e.set, e.way, lr_retention_.refresh_due(now));
-      done = write_verify(lr_, key, done, e_.lr_refresh);
+      done = write_verify(lr_, addr, done, e_.lr_refresh);
       if (done > storm_end) storm_end = done;
       lr2hr_.add(done);
       continue;
     }
     // No buffer slot: avoid data loss by writing back (dirty) / dropping.
     if (line.dirty) {
-      dram_writeback(from_lr(key), now);
+      dram_writeback(addr, now);
       mutable_counters().at(c_.refresh_forced_wb) += 1;
     } else {
       mutable_counters().at(c_.refresh_forced_drop) += 1;
     }
-    lr_.tags.invalidate(key, e.way);
+    lr_.tags.invalidate(addr, e.way);
   }
   if (telemetry() != nullptr && storm_lines > 0) {
     telemetry()->slice(telemetry_prefix() + "refresh",
@@ -522,15 +431,13 @@ void TwoPartBank::sample_telemetry(Cycle now, Telemetry& out) {
   // idempotent at a fixed `now`, so sampling never perturbs timing.
   out.gauge(p + "lr2hr_depth", static_cast<double>(lr2hr_.in_use(now)));
   out.gauge(p + "hr2lr_depth", static_cast<double>(hr2lr_.in_use(now)));
-  out.gauge(p + "write_threshold", static_cast<double>(threshold_));
 }
 
 void TwoPartBank::describe_state(std::ostream& os, Cycle now) const {
   BankBase::describe_state(os, now);
   os << " | hr2lr=" << hr2lr_.in_use_at(now) << '/' << hr2lr_.capacity()
      << " lr2hr=" << lr2hr_.in_use_at(now) << '/' << lr2hr_.capacity()
-     << " threshold=" << threshold_ << " refresh_q=" << refresh_q_.size()
-     << " hr_expiry_q=" << hr_expiry_q_.size();
+     << " refresh_q=" << refresh_q_.size() << " hr_expiry_q=" << hr_expiry_q_.size();
 }
 
 }  // namespace sttgpu::sttl2

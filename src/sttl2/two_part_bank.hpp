@@ -23,7 +23,6 @@
 // miss probes the other serially) or parallel (both probed at once).
 #pragma once
 
-#include "cache/write_stats.hpp"
 #include "sttl2/bank_base.hpp"
 #include "sttl2/config.hpp"
 #include "sttl2/retention.hpp"
@@ -69,40 +68,24 @@ class TwoPartBank final : public BankBase {
 
   Watt leakage_w() const override { return hr_.costs.leakage_w + lr_.costs.leakage_w; }
 
-  /// Base counters plus the two-part gauges: LR/HR occupancy, swap-buffer
-  /// depths and the current (possibly adapted) migration threshold.
+  /// Base counters plus the two-part gauges: LR/HR occupancy and swap-buffer
+  /// depths.
   void sample_telemetry(Cycle now, Telemetry& out) override;
 
-  /// Base queue depths plus swap-buffer fill, migration threshold and the
-  /// pending LR refreshes and HR expiries, at most one per resident line
-  /// (watchdog diagnostic dumps).
+  /// Base queue depths plus swap-buffer fill and the pending LR refreshes
+  /// and HR expiries, at most one per resident line (watchdog diagnostic
+  /// dumps).
   void describe_state(std::ostream& os, Cycle now) const override;
 
   // --- figure hooks ---
   const RewriteTracker& lr_rewrites() const noexcept { return lr_rewrites_; }
   const RewriteTracker& hr_rewrites() const noexcept { return hr_rewrites_; }
 
-  /// Fraction of demand stores served directly by an LR write hit (a
-  /// migration does not count: it means the block had fallen out of LR).
-  /// The quantity of Figs. 4/5.
-  double lr_write_utilization() const noexcept;
-
   const TwoPartBankConfig& config() const noexcept { return config_; }
   const power::ArrayCosts& hr_costs() const noexcept { return hr_.costs; }
   const power::ArrayCosts& lr_costs() const noexcept { return lr_.costs; }
   const cache::TagArray& lr_tags() const noexcept { return lr_.tags; }
   const cache::TagArray& hr_tags() const noexcept { return hr_.tags; }
-
-  /// Physical-write (wear) distribution over each part's cells, including
-  /// fills, migrations and refreshes — the endurance view of i2WAP.
-  const cache::WriteVariationTracker& lr_wear() const noexcept { return lr_wear_; }
-  const cache::WriteVariationTracker& hr_wear() const noexcept { return hr_wear_; }
-
-  /// Current (possibly adapted) migration threshold.
-  unsigned current_threshold() const noexcept { return threshold_; }
-
-  /// Current LR index rotation (wear-leveling extension).
-  std::uint64_t lr_rotation_offset() const noexcept { return lr_offset_; }
 
   /// Fault-injection streams (inert when config().faults.enabled is false).
   const FaultModel& lr_faults() const noexcept { return lr_.faults; }
@@ -132,18 +115,9 @@ class TwoPartBank final : public BankBase {
 
   void do_refresh(Cycle now);
   void do_hr_expiry(Cycle now);
-  void adapt_threshold(Cycle now);
-  void rotate_lr_mapping(Cycle now);
 
-  /// LR set-mapping rotation (wear leveling): the LR tag array is keyed by
-  /// a shifted address so the same line lands in a different physical set
-  /// after each rotation.
-  Addr to_lr(Addr a) const noexcept { return a + lr_offset_ * config_.line_bytes; }
-  Addr from_lr(Addr a) const noexcept { return a - lr_offset_ * config_.line_bytes; }
-
-  /// One physical line write into @p p (LR or HR): occupancy, energy, wear
-  /// and write-verify retries. Returns the completion cycle of the last
-  /// pulse.
+  /// One physical line write into @p p (LR or HR): occupancy, energy and
+  /// write-verify retries. Returns the completion cycle of the last pulse.
   Cycle data_write(Part& p, Addr key, Cycle now);
 
   /// Evaluates the decay of the hit line and applies recovery (see
@@ -169,19 +143,6 @@ class TwoPartBank final : public BankBase {
   RewriteTracker lr_rewrites_;
   RewriteTracker hr_rewrites_;
 
-  cache::WriteVariationTracker lr_wear_;
-  cache::WriteVariationTracker hr_wear_;
-
-  // Adaptive-threshold state (extension; inert when disabled).
-  unsigned threshold_;
-  Cycle next_adapt_ = 0;
-  std::uint64_t interval_migrations_ = 0;
-  std::uint64_t interval_evictions_ = 0;
-
-  // Wear-leveling state (extension; inert when disabled).
-  std::uint64_t lr_offset_ = 0;
-  std::uint64_t lr_writes_since_rotation_ = 0;
-
   // Ledger/counter handles, interned once at construction so the per-access
   // path indexes vectors instead of hashing category/counter names.
   struct EnergyIds {
@@ -196,7 +157,6 @@ class TwoPartBank final : public BankBase {
     CounterId hr_evict_dirty, hr_evict_clean;
     CounterId refreshes, refresh_forced_wb, refresh_forced_drop;
     CounterId hr_expired_dirty, hr_expired_clean;
-    CounterId wear_rotations, threshold_up, threshold_down;
   } c_;
 };
 

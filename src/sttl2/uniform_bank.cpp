@@ -14,9 +14,7 @@ UniformBank::UniformBank(unsigned bank_id, const UniformBankConfig& config,
              .line_bytes = config.line_bytes,
              .data_cell = config.cell,
              .extra_tag_bits_per_line = config.cell.needs_refresh ? 2u : 0u},  // retention counter
-            config.subbanks,
-            write_energy_scale(config.early_write_termination, config.ewt_flip_fraction),
-            config.faults, bank_id, clock, ledger(), "l2."),
+            config.subbanks, config.faults, bank_id, clock, ledger(), "l2."),
       expiry_(part_.tags.geometry().num_sets(), part_.tags.geometry().associativity()),
       rewrites_(clock),
       write_var_(part_.tags.geometry().num_sets(), part_.tags.geometry().associativity()) {
@@ -41,7 +39,7 @@ void UniformBank::schedule_expiry(std::uint64_t set, unsigned way, Cycle deadlin
 
 Cycle UniformBank::data_write(Addr line_addr, Cycle now) {
   const Cycle done = part_.data.occupy(line_addr, now, part_.write_occ);
-  ledger().add(part_.e.data_write, part_.write_pj);
+  ledger().add(part_.e.data_write, part_.costs.data_write_pj);
   return write_verify(part_, line_addr, done, part_.e.data_write);
 }
 

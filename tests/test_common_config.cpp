@@ -33,6 +33,25 @@ TEST(Config, RejectsMalformedTokens) {
   EXPECT_THROW(parse({"=value"}), SimError);
 }
 
+TEST(Config, RejectsKeysOutsideTheGivenList) {
+  std::vector<const char*> args = {"prog", "scale=0.5", "jobs=2"};
+  const auto parse_with = [&](std::initializer_list<std::string_view> valid) {
+    return Config::from_args(static_cast<int>(args.size()), args.data(), valid);
+  };
+  EXPECT_EQ(parse_with({"scale", "jobs"}).get_int("jobs", 0), 2);
+  args[1] = "scael=0.05";
+  try {
+    parse_with({"scale", "jobs"});
+    FAIL() << "a misspelled key was accepted";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "unknown knob 'scael'; valid knobs: scale jobs");
+  }
+  args.resize(1);
+  EXPECT_NO_THROW(parse_with({}));
+  args.push_back("n=1");
+  EXPECT_THROW(parse_with({}), UsageError);
+}
+
 TEST(Config, RejectsBadTypes) {
   const Config cfg = parse({"n=abc", "d=1.2.3", "b=maybe"});
   EXPECT_THROW(cfg.get_int("n", 0), SimError);

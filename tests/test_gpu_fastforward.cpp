@@ -133,16 +133,15 @@ TEST(FastForwardEquivalence, UniformVolatileSttBank) {
 }
 
 TEST(FastForwardEquivalence, TwoPartBankWithAllEventSources) {
-  // Refresh queue, HR expiry queue, adaptive-threshold timer and wear
-  // rotation all active at once.
+  // The bank's two deadline sources, LR refresh and HR expiry, both firing:
+  // with 2 us LR and 10 us HR retention the tiny run refreshes LR lines and
+  // the sparse run expires HR lines.
   sttl2::TwoPartBankConfig bank;
   bank.hr_bytes = 32 * 1024;
   bank.hr_assoc = 4;
   bank.lr_bytes = 8 * 1024;
-  bank.adaptive_threshold = true;
-  bank.adapt_interval = 2048;
-  bank.lr_wear_leveling = true;
-  bank.wear_level_period = 2000;
+  bank.hr_retention_s = 1e-5;
+  bank.lr_retention_s = 2e-6;
   for (const bool sparse : {false, true}) {
     const workload::Workload w = sparse ? sparse_workload() : tiny_workload();
     sttl2::TwoPartBankFactory f_off(bank, small_config(false).clock());
@@ -190,16 +189,14 @@ TEST(HotpathEquivalence, UniformSramBankAllModes) {
 
 TEST(HotpathEquivalence, TwoPartBankWithAllEventSources) {
   // The all-event-source bank of FastForwardEquivalence on every shape: each
-  // bank's wake-table slot has to stay a conservative lower bound for its refresh,
-  // expiry, adaptive-threshold and wear-rotation deadlines.
+  // bank's wake-table slot has to stay a conservative lower bound for its
+  // refresh and expiry deadlines.
   sttl2::TwoPartBankConfig bank;
   bank.hr_bytes = 32 * 1024;
   bank.hr_assoc = 4;
   bank.lr_bytes = 8 * 1024;
-  bank.adaptive_threshold = true;
-  bank.adapt_interval = 2048;
-  bank.lr_wear_leveling = true;
-  bank.wear_level_period = 2000;
+  bank.hr_retention_s = 1e-5;
+  bank.lr_retention_s = 2e-6;
   for (const auto& shape : kShapes) {
     for (const bool sparse : {false, true}) {
       const workload::Workload w = sparse ? sparse_workload() : tiny_workload();
@@ -303,6 +300,13 @@ TEST(FastForwardEquivalence, ShortRetentionExpiryRunsArePinned) {
       EXPECT_EQ(c.get("fault_ecc_detected"), pin.ecc_detected);
       EXPECT_EQ(c.get("fault_wv_retries"), pin.wv_retries);
       EXPECT_EQ(c.get("fault_wv_escalations"), pin.wv_escalations);
+      if (spec.two_part && !pin.faults) {
+        // TwoPartSweep's physical-write identity, here with refreshes firing.
+        EXPECT_EQ(c.get("lr_phys_writes"), c.get("w_lr") + c.get("refreshes"));
+        EXPECT_EQ(c.get("hr_phys_writes"), c.get("w_hr") + run.l2.dram_reads +
+                                               c.get("lr_evictions") - c.get("lr_forced_wb") -
+                                               c.get("lr_forced_drop"));
+      }
     }
   }
 }
@@ -484,19 +488,6 @@ TEST(NextEventCycle, TwoPartBankRefreshDeadlineIsEarliest) {
   const Cycle lr_refresh_bound =
       gpu::GpuConfig{}.clock().cycles_for_ns(seconds_to_ns(cfg.lr_retention_s)) + h.now() + 1;
   EXPECT_LE(next, lr_refresh_bound);
-}
-
-TEST(NextEventCycle, TwoPartAdaptiveThresholdIsAnEventSource) {
-  sttl2::TwoPartBankConfig cfg;
-  cfg.hr_bytes = 16 * 1024;
-  cfg.hr_assoc = 4;
-  cfg.lr_bytes = 4 * 1024;
-  cfg.adaptive_threshold = true;
-  cfg.adapt_interval = 512;
-  testing::TwoPartHarness h(cfg);
-  // Even a completely idle bank must wake for its adapt timer, or the
-  // fast-forward would jump past it and shift every later adapt interval.
-  EXPECT_EQ(h.bank().next_event_cycle(), 512u);
 }
 
 }  // namespace
