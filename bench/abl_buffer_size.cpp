@@ -10,7 +10,7 @@
 #include "common/table.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -41,4 +41,4 @@ int main(int argc, char** argv) {
                "share around or below ~1% even in the worst case; tiny buffers\n"
                "block migrations and leak performance.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -12,7 +12,7 @@
 #include "sim/executor.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale", "jobs"});
@@ -54,4 +54,4 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected: open-page speeds streaming workloads at both ends, and\n"
                "the C1-over-SRAM advantage persists under either policy.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -12,7 +12,7 @@
 #include "sim/executor.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale", "jobs"});
@@ -67,4 +67,4 @@ int main(int argc, char** argv) {
                "eviction churn) but steals read capacity from HR; 1/8 is a good\n"
                "balance for this suite — the paper's choice.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -11,7 +11,7 @@
 #include "common/table.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -38,4 +38,4 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected: refresh count falls as the counter widens (refresh is\n"
                "postponed to the last counter period, and that period shrinks).\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -13,7 +13,7 @@
 #include "sim/executor.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale", "jobs"});
@@ -66,4 +66,4 @@ int main(int argc, char** argv) {
             << ", LRR: " << TextTable::fmt(geometric_mean(lrr_speedups), 3)
             << "\nExpected: the two-part cache wins under both schedulers.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

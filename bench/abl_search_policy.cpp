@@ -10,7 +10,7 @@
 #include "common/table.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -36,4 +36,4 @@ int main(int argc, char** argv) {
                "negligible IPC cost because the common case (writes in LR, reads in\n"
                "HR) hits on the first probe.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

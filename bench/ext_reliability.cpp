@@ -19,7 +19,7 @@
 #include "sim/probe.hpp"
 #include "sttl2/reliability.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -72,4 +72,4 @@ int main(int argc, char** argv) {
                "'early data bit collapse' concern is real for the LR part; what\n"
                "ECC and clean re-fetch recover is measured by faults=1 runs.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -14,7 +14,7 @@
 #include "common/table.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -41,4 +41,4 @@ int main(int argc, char** argv) {
                "hot-write benchmarks far above the even writers — this justifies a\n"
                "write-favouring low-retention region in the L2.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -15,7 +15,7 @@
 #include "common/table.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -70,4 +70,4 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check (paper): ratio falls as the threshold rises; total\n"
                "writes stay within a few percent of TH1 => threshold 1 is justified.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

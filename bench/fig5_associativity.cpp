@@ -14,7 +14,7 @@
 #include "common/table.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -56,4 +56,4 @@ int main(int argc, char** argv) {
                "(Benchmarks with no hot write set show utilization 0 and are\n"
                "reported as 0 across the row.)\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -13,7 +13,7 @@
 #include "common/table.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale"});
@@ -62,4 +62,4 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check (paper): most LR rewrites within ~10us; 40ms covers\n"
                ">90% of HR rewrites.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -20,7 +20,7 @@
 #include "sim/executor.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale", "cache", "jobs"});
@@ -56,4 +56,4 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference points: stt-base +5% avg (with degradations),\n"
                "C1 +16% avg / >2x best, no C1-C3 write-latency collapses.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -15,7 +15,7 @@
 #include "sim/executor.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale", "cache", "jobs"});
@@ -53,4 +53,4 @@ int main(int argc, char** argv) {
             << "  (paper: ~5x — the two-part cache routes the write working\n"
                " set to cheap low-retention writes)\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

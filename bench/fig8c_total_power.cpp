@@ -16,7 +16,7 @@
 #include "sim/executor.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"scale", "cache", "jobs"});
@@ -51,4 +51,4 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference points: C1 0.80, C2 0.365, C3 0.58, stt-base 1.19\n"
                "(averages; the ordering C2 < C3 < C1 < SRAM is the shape to hold).\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -99,7 +99,7 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Config cfg = Config::from_args(argc, argv, {"scale", "reps", "json"});
   const double scale = cfg.get_double("scale", 1.0);
   const unsigned reps = static_cast<unsigned>(cfg.get_int("reps", 3));
@@ -171,4 +171,4 @@ int main(int argc, char** argv) {
   out << "\n";
   std::cout << "\nwrote " << json_path << "\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -13,7 +13,7 @@
 #include "nvm/cell.hpp"
 #include "nvm/mtj.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
   (void)Config::from_args(argc, argv, {});  // no knobs: any argument is an error
 
@@ -46,4 +46,4 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check (paper): lower retention => strictly lower write"
                " latency and energy; 10-year cells are the slowest/most costly.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

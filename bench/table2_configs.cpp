@@ -8,7 +8,7 @@
 #include "common/table.hpp"
 #include "sim/arch.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
   (void)Config::from_args(argc, argv, {});  // no knobs: any argument is an error
 
@@ -48,4 +48,4 @@ int main(int argc, char** argv) {
                "register-file delta equals the SRAM baseline's L2 data area (the\n"
                "paper's fairness rule; STT-RAM cell = 1/4 SRAM cell area).\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

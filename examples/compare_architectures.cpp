@@ -9,7 +9,7 @@
 #include "common/table.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"benchmark", "scale"});
@@ -37,4 +37,4 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

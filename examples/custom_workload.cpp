@@ -9,7 +9,7 @@
 #include "gpu/gpu.hpp"
 #include "sttl2/factories.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"blocks", "store_fraction", "wws_lines"});
@@ -64,4 +64,4 @@ int main(int argc, char** argv) {
     std::cout << "  " << category << ": " << pj << "\n";
   }
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -10,7 +10,7 @@
 #include "common/config.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"benchmark", "scale"});
@@ -34,4 +34,4 @@ int main(int argc, char** argv) {
               << " + leakage " << m.leakage_w << ")\n\n";
   }
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

@@ -10,7 +10,7 @@
 #include "nvm/cell.hpp"
 #include "sim/probe.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sttgpu;
 
   const Config cfg = Config::from_args(argc, argv, {"benchmark", "scale"});
@@ -49,4 +49,4 @@ int main(int argc, char** argv) {
                "traffic; the paper picks 26.5us because the write working set is\n"
                "rewritten faster than it expires (Fig. 6), making refresh rare.\n";
   return 0;
-}
+} catch (...) { return sttgpu::report_main_error(); }

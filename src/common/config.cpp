@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 
 #include "common/error.hpp"
+#include "common/exit_codes.hpp"
 
 namespace sttgpu {
 
@@ -61,6 +64,20 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   throw SimError("config value for '" + key + "' is not a boolean: " + v);
+}
+
+int report_main_error() noexcept {
+  try {
+    throw;
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return kExitUsage;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+  } catch (...) {
+    std::cerr << "error: unknown exception\n";
+  }
+  return kExitError;
 }
 
 }  // namespace sttgpu

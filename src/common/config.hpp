@@ -44,4 +44,10 @@ class Config {
   std::map<std::string, std::string> values_;
 };
 
+/// The handler of a bench or example main's function-try-block,
+/// `int main(...) try { ... } catch (...) { return report_main_error(); }`:
+/// prints one "error: <what>" line for the exception in flight, as `sttgpu`
+/// does, and returns kExitUsage for a UsageError and kExitError otherwise.
+int report_main_error() noexcept;
+
 }  // namespace sttgpu

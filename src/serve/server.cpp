@@ -73,8 +73,9 @@ struct SweepServer::Impl {
   /// One unique (fingerprint, scale, arch, benchmark) simulation in flight.
   /// Shared by every submission that wants the row; simulated exactly once.
   struct Task {
-    std::string key;  ///< store_key — the dedupe identity
-    SandboxJob job;   ///< what the forked child simulates
+    std::string key;       ///< store_key — the dedupe identity
+    std::uint64_t fp = 0;  ///< config fingerprint of the row
+    SandboxJob job;        ///< what the sandbox worker simulates
     CancelToken token;                    ///< supervisor external source
     std::vector<std::uint64_t> waiters;   ///< submission ids awaiting the row
   };
@@ -121,8 +122,8 @@ struct SweepServer::Impl {
   // Monotonic counters (mu-free reads).
   std::atomic<std::uint64_t> n_submissions{0}, n_simulated{0}, n_failed{0},
       n_store_hits{0}, n_attached{0};
-  std::atomic<std::uint64_t> n_child_kills{0}, n_child_crashes{0}, n_retries{0},
-      n_replayed{0};
+  std::atomic<std::uint64_t> n_child_spawns{0}, n_child_kills{0}, n_child_crashes{0},
+      n_retries{0}, n_replayed{0};
 
   std::thread accept_thread;
   std::vector<std::thread> worker_threads;
@@ -152,7 +153,7 @@ struct SweepServer::Impl {
     // EADDRINUSE forever. Probe it: a live server accepts the connection
     // (that is a real conflict); a dead one refuses, and the stale file is
     // safe to reclaim.
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (probe >= 0) {
       if (::connect(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0) {
         close_quiet(probe);
@@ -162,7 +163,7 @@ struct SweepServer::Impl {
       ::unlink(opts.socket_path.c_str());
     }
 
-    unix_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    unix_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (unix_fd < 0) throw BindError(std::string("socket: ") + std::strerror(errno));
     if (::bind(unix_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
       const std::string why = std::strerror(errno);
@@ -276,7 +277,7 @@ struct SweepServer::Impl {
         sub.touched_store = true;
         append_event_locked(
             sub, task_event("done", *t, status, "row",
-                            store::encode_put(t->job.fp, sub.scale17, *row)));
+                            store::encode_put(t->fp, sub.scale17, *row)));
       } else {
         ++sub.failed;
         append_event_locked(sub, task_event("failed", *t, status, "error", error));
@@ -299,13 +300,13 @@ struct SweepServer::Impl {
     }
   }
 
-  void run_task(const std::shared_ptr<Task>& t) {
-    // One supervised job per task, whose every attempt is a forked sandbox
-    // child (serve/sandbox.hpp): the per-task token is the supervisor's
-    // external cancellation source, so the `cancel` verb, the watchdog, the
-    // per-job timeout, and retry/backoff are the matrix runner's own
-    // semantics. keep_going: the outcome is recorded per task; a failing
-    // task must never tear the service down.
+  void run_task(const std::shared_ptr<Task>& t, Sandbox& sandbox) {
+    // One supervised job per task, whose every attempt runs in this worker
+    // thread's sandbox (serve/sandbox.hpp): the per-task token is the
+    // supervisor's external cancellation source, so the `cancel` verb, the
+    // watchdog, the per-job timeout, and retry/backoff are the matrix
+    // runner's own semantics. keep_going: the outcome is recorded per task;
+    // a failing task must never tear the service down.
     sim::SupervisorOptions sup;
     sup.external = &t->token;
     sup.watchdog_s = opts.watchdog_s;
@@ -313,31 +314,28 @@ struct SweepServer::Impl {
     sup.retries = opts.retries;
     sup.keep_going = true;
 
-    SandboxOptions so;
-    so.mem_limit_bytes = opts.mem_limit_bytes;
-
     SandboxCounters children;
     std::optional<store::ResultRow> row;
     std::vector<sim::Job> jobs(1);
     jobs[0].label = t->job.arch + "/" + t->job.bench;
     jobs[0].fn = [&](const sim::JobControl& ctl) {
-      const std::string line = run_sandboxed(
-          t->job, so, ctl, children, [this, &t](const std::string& event) {
-            fan_out_event(*t, event);
-          });
-      // The row crossed the pipe as the store's own put-record line;
+      const std::string line =
+          sandbox.run(t->job, ctl, children,
+                      [this, &t](const std::string& event) { fan_out_event(*t, event); });
+      // The row crossed the channel as the store's own put-record line;
       // decoding and re-putting it is byte-exact by the record codec's
       // round-trip contract, so sandboxed rows match direct-run rows.
       const auto rec = store::decode_put(line);
-      if (!rec || rec->fingerprint != t->job.fp) {
+      if (!rec || rec->fingerprint != t->fp) {
         throw SimError("sandbox returned an undecodable result row");
       }
       // Durable write-through before the row is announced.
-      store->put(t->job.fp, t->job.base.scale, rec->row);
+      store->put(t->fp, t->job.base.scale, rec->row);
       row = rec->row;
     };
     const sim::SupervisedResult res = sim::run_supervised(std::move(jobs), 1, sup);
     const sim::JobOutcome& o = res.outcomes.at(0);
+    n_child_spawns.fetch_add(children.spawns, std::memory_order_relaxed);
     n_child_kills.fetch_add(children.kills, std::memory_order_relaxed);
     n_child_crashes.fetch_add(children.crashes, std::memory_order_relaxed);
     if (o.attempts > 1) n_retries.fetch_add(o.attempts - 1, std::memory_order_relaxed);
@@ -358,6 +356,9 @@ struct SweepServer::Impl {
   }
 
   void worker_loop() {
+    // Spawned at this thread's first attempt, reused by every later one, and
+    // closed (the idle worker exits on EOF) when the thread drains.
+    Sandbox sandbox(opts.mem_limit_bytes);
     for (;;) {
       std::shared_ptr<Task> t;
       {
@@ -380,7 +381,7 @@ struct SweepServer::Impl {
           }
         }
       }
-      run_task(t);
+      run_task(t, sandbox);
     }
   }
 
@@ -486,11 +487,9 @@ struct SweepServer::Impl {
           }
           auto t = std::make_shared<Task>();
           t->key = key;
-          t->job.arch_id = a;
+          t->fp = fp;
           t->job.arch = arch_name;
           t->job.bench = bench;
-          t->job.fp = fp;
-          t->job.scale17 = scale17;
           t->job.base = base;
           t->job.want_telemetry = want_telemetry;
           t->job.interval = static_cast<Cycle>(interval);
@@ -586,6 +585,7 @@ struct SweepServer::Impl {
     s.attached = n_attached.load(std::memory_order_relaxed);
     s.store_rows = store->size();
     s.workers = workers;
+    s.child_spawns = n_child_spawns.load(std::memory_order_relaxed);
     s.child_kills = n_child_kills.load(std::memory_order_relaxed);
     s.child_crashes = n_child_crashes.load(std::memory_order_relaxed);
     s.task_retries = n_retries.load(std::memory_order_relaxed);
@@ -623,6 +623,7 @@ struct SweepServer::Impl {
     w.key("tasks_failed").value(s.tasks_failed);
     w.key("store_hits").value(s.store_hits);
     w.key("attached").value(s.attached);
+    w.key("child_spawns").value(s.child_spawns);
     w.key("child_kills").value(s.child_kills);
     w.key("child_crashes").value(s.child_crashes);
     w.key("task_retries").value(s.task_retries);
@@ -903,7 +904,7 @@ struct SweepServer::Impl {
       // ENOMEM) is retried the same way rather than ending the daemon.
       pollfd pfd{unix_fd, POLLIN, 0};
       if (::poll(&pfd, 1, /*ms=*/200) <= 0) continue;
-      const int conn = ::accept(unix_fd, nullptr, nullptr);
+      const int conn = ::accept4(unix_fd, nullptr, nullptr, SOCK_CLOEXEC);
       if (conn < 0) continue;
       std::lock_guard<std::mutex> lk(mu);
       if (stopping) {

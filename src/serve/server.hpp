@@ -16,16 +16,16 @@
 //   3. within a submission (a degenerate case of 2).
 //
 // Misses run on a persistent worker pool. Each task is one supervised job
-// (sim/supervisor.hpp) whose every attempt simulates in a forked child
-// (serve/sandbox.hpp): the supervisor's watchdog, job_timeout, retry/backoff
-// and cancellation apply as they do to a matrix run, and a run that
-// SIGSEGVs, OOMs against the `mem_limit` RLIMIT_AS, or wedges kills only its
-// child. It is reported as a `failed` watch event, whose error text says
-// what happened, and counted in `health`; the daemon keeps serving everyone
-// else. Rows travel back over the pipe as the store's own put-record lines,
-// so they are byte-identical to direct-matrix runs. The CSV export is
-// regenerated with the exact refresh + rows_for + save_cache sequence
-// run_matrix uses.
+// (sim/supervisor.hpp) whose every attempt simulates in its worker thread's
+// reused sandbox process (serve/sandbox.hpp): the supervisor's watchdog,
+// job_timeout, retry/backoff and cancellation apply as they do to a matrix
+// run, and a run that SIGSEGVs, OOMs against the `mem_limit` RLIMIT_AS, or
+// wedges ends only that process. It is reported as a `failed` watch event,
+// whose error text says what happened, and counted in `health`; the daemon
+// keeps serving everyone else. Rows travel back as the store's own
+// put-record lines, so they are byte-identical to direct-matrix runs. The
+// CSV export is regenerated with the exact refresh + rows_for + save_cache
+// sequence run_matrix uses.
 //
 // The daemon serves one local user: tasks queue FIFO, and there is no
 // admission shedding and no read deadline. A connection that never sends a
@@ -42,8 +42,8 @@
 // Subscribed `watch` clients receive newline-delimited JSON events:
 // scheduling, per-task start/done/failed, live telemetry frames (when the
 // submission asked for telemetry), and a terminal "complete". The `health`
-// verb reports uptime, queue depth, in-flight tasks, retry/child-kill
-// counters, and journal lag.
+// verb reports uptime, queue depth, in-flight tasks, retry and sandbox
+// spawn/kill/crash counters, and journal lag.
 //
 // stop() is the SIGTERM drain: stop accepting, refuse new submissions,
 // finish every queued and running task, publish the final CSV export, then
@@ -68,7 +68,7 @@ struct ServerOptions {
   double watchdog_s = 0.0;
   double job_timeout_s = 0.0;
   unsigned retries = 0;
-  /// RLIMIT_AS for each task's forked child, in bytes (0 = unlimited).
+  /// RLIMIT_AS for each sandbox worker process, in bytes (0 = unlimited).
   std::uint64_t mem_limit_bytes = 0;
   /// Sink for "[serve] ..." progress lines. Null = silent.
   std::function<void(const std::string&)> log;
@@ -86,6 +86,7 @@ struct ServerStats {
   std::size_t store_rows = 0; ///< live rows in the result store
   unsigned workers = 0;
   // --- robustness counters (health verb) ---
+  std::uint64_t child_spawns = 0;      ///< sandbox worker processes started
   std::uint64_t child_kills = 0;       ///< sandbox SIGKILLs (watchdog/timeout/cancel)
   std::uint64_t child_crashes = 0;     ///< sandbox attempts that crashed or OOMed
   std::uint64_t task_retries = 0;      ///< extra sandbox attempts performed

@@ -71,7 +71,7 @@ const std::vector<KnobSpec>& knob_registry() {
       {"jobs", Type::kInt, "0", "worker threads (0 = all hardware threads)",
        kKnobMatrix | kKnobServe},
       {"watchdog", Type::kDouble, "0",
-       "kill a task whose child's heartbeat stops for this many seconds (0 = off)",
+       "kill a task whose sandbox worker's heartbeat stops for this many seconds (0 = off)",
        kKnobServe},
       {"job_timeout", Type::kDouble, "0",
        "per-job wall-clock budget in seconds (0 = unlimited)", kKnobMatrix | kKnobServe},
@@ -81,7 +81,7 @@ const std::vector<KnobSpec>& knob_registry() {
        "quarantine failing jobs and report a manifest instead of failing fast",
        kKnobMatrix},
       {"mem_limit", Type::kInt, "0",
-       "address-space limit per forked simulation child, in MiB (0 = unlimited)",
+       "address-space limit per sandbox worker process, in MiB (0 = unlimited)",
        kKnobServe},
       {"store", Type::kString, "fig8_cache.store",
        "result store path (WAL log; sidecars <store>.lock / <store>.quarantine)",

@@ -195,7 +195,6 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
   // a job shorter than one tick is not held to the tick.
   std::mutex monitor_mu;
   std::condition_variable monitor_wake;
-  bool monitor_parked = false;
   bool monitor_quit = false;
   std::thread monitor;
   if (need_monitor) {
@@ -204,8 +203,6 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
       const auto timeout_ms = static_cast<std::int64_t>(opts.job_timeout_s * 1000.0);
       bool forwarded = false;
       std::unique_lock<std::mutex> lk(monitor_mu);
-      monitor_parked = true;
-      monitor_wake.notify_one();
       while (!monitor_wake.wait_for(lk, std::chrono::milliseconds(10),
                                     [&] { return monitor_quit; })) {
         const std::int64_t t = now_ms();
@@ -234,13 +231,6 @@ SupervisedResult run_supervised(std::vector<Job> jobs, unsigned n_threads,
         }
       }
     });
-    // No job of this call starts before its monitor is parked in its wait.
-    // A job may fork() (the serve sandbox does), and a child forked while
-    // another thread is still starting can inherit a lock that thread held:
-    // the sanitizers' allocator locks are not fork-safe, and such children
-    // deadlocked. Forks made by other threads are not ordered by this.
-    std::unique_lock<std::mutex> lk(monitor_mu);
-    monitor_wake.wait(lk, [&] { return monitor_parked; });
   }
 
   if (n_threads <= 1) {

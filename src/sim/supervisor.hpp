@@ -12,8 +12,8 @@
 //   * Watchdog — a job may publish a heartbeat; a monitor thread cancels any
 //     running job whose heartbeat has not advanced for watchdog_s seconds of
 //     wall clock, with reason kWatchdog. The sweep service uses it: its
-//     sandboxed child's Gpu beats its cycle count into a shared page, so a
-//     hung child stops beating and is killed. job_timeout_s bounds an
+//     sandbox worker's Gpu beats its cycle count into a shared page, so a
+//     hung worker stops beating and is killed. job_timeout_s bounds an
 //     attempt's total wall clock with reason kTimeout; an in-process job
 //     reports a diagnostic state dump from the throw site (the Gpu appends
 //     per-bank queue depths and swap-buffer state).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/exit_codes.hpp"
 
 namespace sttgpu {
 namespace {
@@ -57,6 +58,20 @@ TEST(Config, RejectsBadTypes) {
   EXPECT_THROW(cfg.get_int("n", 0), SimError);
   EXPECT_THROW(cfg.get_double("d", 0.0), SimError);
   EXPECT_THROW(cfg.get_bool("b", false), SimError);
+}
+
+TEST(Config, MainErrorHandlerMapsUsageAndOtherErrors) {
+  const auto exit_code = [](const auto& body) {
+    try {
+      body();
+    } catch (...) {
+      return report_main_error();
+    }
+    return -1;
+  };
+  EXPECT_EQ(exit_code([] { throw UsageError("unknown knob"); }), kExitUsage);
+  EXPECT_EQ(exit_code([] { throw SimError("not a number"); }), kExitError);
+  EXPECT_EQ(exit_code([] { throw 7; }), kExitError);
 }
 
 TEST(Config, BooleanSpellings) {

@@ -258,11 +258,10 @@ TEST_F(RobustServeTest, WatchdogKillsAWedgedChildOthersUnaffected) {
 }
 
 TEST_F(RobustServeTest, WedgedChildDoesNotStallTheOtherWorker) {
-  // Two workers: one sits on the wedged C1/bfs child until the watchdog
-  // kills it, the other runs the healthy tasks meanwhile. Each healthy
-  // attempt must end on its own row line. An attempt that waited for EOF
-  // instead could be held by the wedged child, forked while the attempt's
-  // pipe was open, until the watchdog fired.
+  // Two workers: one sits on the wedged C1/bfs job until the watchdog
+  // kills its sandbox process, the other runs the healthy tasks meanwhile in
+  // its own. Each healthy attempt must end on its own row line, with the
+  // other thread's wedged worker left out of it.
   const FaultEnv env("C1/bfs=hang");
   ServerOptions so;
   so.jobs = 2;

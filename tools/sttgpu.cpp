@@ -33,10 +33,11 @@
 //       the client verbs below are deduplicated against the result store and
 //       against each other before anything simulates, misses queue FIFO for
 //       a supervised worker pool, and the CSV export is kept byte-identical
-//       to a direct matrix run. Each simulation runs in a forked child under
-//       the matrix runner's supervisor — a crash, OOM (against mem_limit=)
-//       or wedge is reaped and retried/reported without taking the daemon
-//       down; watchdog=<s> kills a child whose heartbeat stops. Acknowledged
+//       to a direct matrix run. Each simulation runs in a sandbox process,
+//       one spawned per worker thread and reused, under the matrix runner's
+//       supervisor — a crash, OOM (against mem_limit=) or wedge ends only
+//       that process and is retried/reported without taking the daemon down;
+//       watchdog=<s> kills a worker whose heartbeat stops. Acknowledged
 //       submissions are journaled next to the store ("<cache>.journal") and
 //       replayed after a crash — even SIGKILL loses no accepted work.
 //       SIGINT/SIGTERM drains gracefully (in-flight work finishes and is
@@ -642,7 +643,8 @@ int cmd_health(const Config& cfg) {
             << "  journal      " << h.at("journal_pending").as_int() << " pending of "
             << h.at("journal_records").as_int() << " recorded ("
             << h.at("replayed").as_int() << " replayed at startup)\n"
-            << "  children     " << h.at("child_kills").as_int() << " kills, "
+            << "  children     " << h.at("child_spawns").as_int() << " spawns, "
+            << h.at("child_kills").as_int() << " kills, "
             << h.at("child_crashes").as_int() << " crashes, "
             << h.at("task_retries").as_int() << " retries\n"
             << "  tasks        " << h.at("tasks_simulated").as_int() << " simulated, "
